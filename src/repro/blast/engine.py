@@ -55,7 +55,6 @@ from repro.blast.seeding import (
     WordIndex,
     batch_triggers,
     one_hit_triggers,
-    rolling_codes,
     two_hit_triggers,
 )
 
@@ -79,10 +78,12 @@ class SearchParams:
     max_alignments: int = 100  # per query, applied after global ranking
     dna_match: int = 1
     dna_mismatch: int = -3
-    # Batched kernel: scan a whole fragment as one concatenated array
-    # and vectorize the ungapped stage over all trigger points at once.
-    # ``False`` keeps the original per-subject scalar path — the
-    # bit-identity reference the property suite compares against.
+    # Batched (cohort) kernel: search all queries of a call together —
+    # one query-set index, one scan of the concatenated fragment, and
+    # the ungapped and gapped stages vectorized over every (query,
+    # subject) pair at once.  ``False`` keeps the original per-query,
+    # per-subject scalar path — the bit-identity reference the property
+    # suite compares against.
     batch: bool = True
     # Vectorized banded gapped extension (the batched kernel's gapped
     # stage): all seeds a slab produces run as lockstep banded
@@ -215,27 +216,58 @@ class _FragmentScan:
     subj_of: np.ndarray
     slabs: list[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        # rolling (positions, codes) per slab, filled on first use
-        self.codes_cache: list[tuple[np.ndarray, np.ndarray] | None] = [
-            None
-        ] * len(self.slabs)
+
+@dataclass(frozen=True)
+class _Limits:
+    """Per-(query, call) statistics: search spaces and score floors."""
+
+    space: float  # global space: reported E-values
+    filter_space: float  # space the expect filter is applied in
+    min_raw: float  # raw score that meets the expect threshold
+    min_keep: float  # lowest ungapped score that can reach the output
+
+
+@dataclass
+class _QuerySet:
+    """The queries of one call, prepared once for the cohort kernel.
+
+    ``qcat`` concatenates the encoded queries around sentinel codes (one
+    before, between and after), exactly as a fragment's records are
+    concatenated; ``qstarts`` holds each query's offset in it and
+    ``qof`` maps a ``qcat`` position to its query.  ``index`` is one
+    word index over ``qcat``: words never span a sentinel, so its hits
+    are the union of the per-query indexes' hits, shifted by
+    ``qstarts``.
+    """
+
+    codes: list[np.ndarray]
+    qcat: np.ndarray
+    qstarts: np.ndarray
+    qof: np.ndarray
+    index: WordIndex
+    #: per-query :class:`_Limits`, keyed on the call's database stats
+    limits: dict[tuple, list[_Limits]] = field(default_factory=dict)
 
 
 @dataclass
 class _GapState:
-    """One subject's progress through the round-based gapped dispatcher.
+    """One (query, subject) pair's progress through the round-based
+    gapped dispatcher.
 
     ``ptr`` walks the score-sorted seed list; ``slot`` is the index of
-    the DP this subject is waiting on in the current lockstep round.
-    Holding at most one outstanding DP per subject preserves the scalar
+    the DP this pair is waiting on in the current lockstep round.
+    Holding at most one outstanding DP per pair preserves the scalar
     rule that each seed's inside-check sees all earlier seeds' results.
+    ``memo`` is the query's own gapped memo.
     """
 
+    qi: int
     si: int
+    q: np.ndarray
     scodes: np.ndarray
-    skey: bytes
     hits: list
+    memo: dict
+    skey: bytes = b""
     ptr: int = 0
     slot: int = -1
     gapped: list = field(default_factory=list)
@@ -277,7 +309,8 @@ class BlastSearch:
             )
         )
         # Sentinel-extended matrix for the batched kernel: fragment
-        # records are concatenated with a sentinel code between them
+        # records (and a cohort's queries) are concatenated with a
+        # sentinel code between them
         # whose score against anything is far below any X-drop, so a
         # vectorized extension terminates at a record boundary exactly
         # where the scalar path runs out of array.
@@ -286,56 +319,84 @@ class BlastSearch:
         ext = np.full((size + 1, size + 1), -(1 << 30), dtype=np.int64)
         ext[:size, :size] = self.matrix
         self.matrix_ext = ext
-        self._index_cache: dict[int, WordIndex] = {}
-        # Memo of gapped extensions within one (query x fragment) search:
-        # duplicated subjects produce identical (subject bytes, anchor)
-        # DP problems; both kernels answer repeats from here (counted as
-        # ``SearchStats.gapped_dedup``) so their stats stay equal.
-        self._gapped_memo: dict[tuple, GappedExtension] = {}
         # Host-seconds per batched-kernel stage, accumulated across
-        # slabs/queries/fragments (scan / ungapped / gapped / render).
+        # slabs/calls/fragments (scan / ungapped / gapped / render).
         # Purely observational: repro.obs.bench reports it per scenario.
         self.stage_times: dict[str, float] = {}
 
-    # Process-wide memo of word indexes.  A WordIndex is immutable and a
-    # pure function of (query, scoring config); sharing it across the
-    # simulated ranks only removes redundant *wall-clock* work — virtual
-    # time for index construction is charged by the cost model.
-    _GLOBAL_INDEX_MEMO: dict[tuple, WordIndex] = {}
+    # Process-wide memo of prepared query sets (encoded queries and
+    # their word index).  A query set is immutable and a pure function
+    # of (queries, search params); sharing it across the simulated ranks
+    # only removes redundant *wall-clock* work — virtual time for index
+    # construction is charged by the cost model.
+    _GLOBAL_INDEX_MEMO: dict[tuple, _QuerySet] = {}
+    #: byte budget of the memo's word indexes; the memo is cleared
+    #: before an insert would exceed it
+    INDEX_MEMO_BYTES = 1 << 28
 
     # ------------------------------------------------------------------
-    def _index_for(self, query_index: int, qcodes: np.ndarray) -> WordIndex:
-        # Content-keyed (query_index is only a hint and may be reused
-        # for different queries across processing batches).
+    def _word_index(self, codes: np.ndarray) -> WordIndex:
         p = self.params
-        key = (
-            qcodes.tobytes(),
-            p.program,
-            p.matrix_name,
-            p.effective_word_size,
-            p.threshold,
-            p.dna_match,
-            p.dna_mismatch,
+        return WordIndex(
+            codes,
+            self.matrix,
+            word_size=p.effective_word_size,
+            threshold=p.threshold,
+            nstd=self.nstd,
+            exact_only=(p.program == "blastn"),
         )
-        local = self._index_cache.get(query_index)
-        if local is not None and local[0] == key:
-            return local[1]
+
+    def _query_set(self, queries: list[SeqRecord]) -> _QuerySet:
+        """Encode and index ``queries`` together (memoized, content-keyed)."""
+        key = (self.params, tuple(q.sequence for q in queries))
         memo = BlastSearch._GLOBAL_INDEX_MEMO
-        idx = memo.get(key)
-        if idx is None:
-            if len(memo) >= 4096:
-                memo.clear()
-            idx = WordIndex(
-                qcodes,
-                self.matrix,
-                word_size=p.effective_word_size,
-                threshold=p.threshold,
-                nstd=self.nstd,
-                exact_only=(p.program == "blastn"),
+        qset = memo.get(key)
+        if qset is not None:
+            return qset
+        codes = [self.alphabet.encode(q.sequence) for q in queries]
+        lens = np.fromiter((len(c) for c in codes), np.int64, len(codes))
+        qcat = np.full(int(lens.sum()) + len(codes) + 1, self.sentinel_code,
+                       dtype=np.uint8)
+        qstarts = np.cumsum(lens + 1) - lens
+        for c, off in zip(codes, qstarts.tolist()):
+            qcat[off : off + len(c)] = c
+        # qof[p] = query covering qcat position p (sentinels take the
+        # preceding query; word hits never land on one).
+        marks = np.zeros(len(qcat), dtype=np.int64)
+        marks[qstarts[1:]] = 1
+        qset = _QuerySet(codes, qcat, qstarts, np.cumsum(marks),
+                         self._word_index(qcat))
+        held = sum(q.index.nbytes for q in memo.values())
+        if held + qset.index.nbytes > self.INDEX_MEMO_BYTES:
+            memo.clear()
+        memo[key] = qset
+        return qset
+
+    def _limits(
+        self,
+        query_length: int,
+        db_letters: int,
+        db_num_seqs: int,
+        filter_db_letters: int | None,
+        filter_db_num_seqs: int | None,
+    ) -> _Limits:
+        space = effective_search_space(
+            self.stats_params, query_length, db_letters, db_num_seqs
+        )
+        if filter_db_letters is not None:
+            filter_space = effective_search_space(
+                self.stats_params,
+                query_length,
+                filter_db_letters,
+                filter_db_num_seqs or 1,
             )
-            memo[key] = idx
-        self._index_cache[query_index] = (key, idx)
-        return idx
+        else:
+            filter_space = space
+        # Raw score that meets the expect threshold: cheap pre-filter.
+        min_raw = self.stats_params.raw_score_for_evalue(
+            self.params.expect, filter_space
+        )
+        return _Limits(space, filter_space, min_raw, self._min_keep(min_raw))
 
     # ------------------------------------------------------------------
     def search_fragment(
@@ -366,21 +427,24 @@ class BlastSearch:
         E-values are always global, so a downstream global filter
         restores exactly the serial result list.
         """
-        out: list[list[Alignment]] = []
-        scan = self._fragment_scan(fragment) if self.params.batch else None
-        for qi, qrec in enumerate(queries):
-            qcodes = self.alphabet.encode(qrec.sequence)
-            if scan is not None:
-                als = self._search_one_batched(
-                    qi, qcodes, fragment, scan, db_letters, db_num_seqs,
-                    base_oid, stats, filter_db_letters, filter_db_num_seqs,
-                )
-            else:
-                als = self._search_one(
-                    qi, qrec, qcodes, fragment, db_letters, db_num_seqs,
-                    base_oid, stats, filter_db_letters, filter_db_num_seqs,
-                )
-            out.append(als)
+        if self.params.batch:
+            qset = self._query_set(queries)
+            key = (db_letters, db_num_seqs, filter_db_letters,
+                   filter_db_num_seqs)
+            limits = qset.limits.get(key)
+            if limits is None:
+                limits = qset.limits[key] = [
+                    self._limits(len(c), *key) for c in qset.codes
+                ]
+            out = self._search_cohort(qset, limits, fragment, base_oid, stats)
+        else:
+            out = []
+            for qi, qrec in enumerate(queries):
+                qcodes = self.alphabet.encode(qrec.sequence)
+                lim = self._limits(len(qcodes), db_letters, db_num_seqs,
+                                   filter_db_letters, filter_db_num_seqs)
+                out.append(self._search_one(qi, qcodes, lim, fragment,
+                                            base_oid, stats))
         if stats is not None:
             stats.queries += len(queries)
         return out
@@ -389,36 +453,17 @@ class BlastSearch:
     def _search_one(
         self,
         query_index: int,
-        qrec: SeqRecord,
         qcodes: np.ndarray,
+        lim: _Limits,
         fragment: SequenceDatabase,
-        db_letters: int,
-        db_num_seqs: int,
         base_oid: int,
         stats: SearchStats | None,
-        filter_db_letters: int | None = None,
-        filter_db_num_seqs: int | None = None,
     ) -> list[Alignment]:
+        """Scalar reference: one query, one subject at a time."""
         p = self.params
-        index = self._index_for(query_index, qcodes)
+        index = self._word_index(qcodes)
         sstats = SeedStats()
-        self._gapped_memo = {}
-        space = effective_search_space(
-            self.stats_params, len(qcodes), db_letters, db_num_seqs
-        )
-        if filter_db_letters is not None:
-            filter_space = effective_search_space(
-                self.stats_params,
-                len(qcodes),
-                filter_db_letters,
-                filter_db_num_seqs or 1,
-            )
-        else:
-            filter_space = space
-        # Raw score that meets the expect threshold: cheap pre-filter.
-        min_raw = self.stats_params.raw_score_for_evalue(p.expect, filter_space)
-        min_keep = self._min_keep(min_raw)
-
+        memo: dict[tuple, GappedExtension] = {}
         alignments: list[Alignment] = []
         nsub = fragment.num_sequences
         for si in range(nsub):
@@ -439,13 +484,13 @@ class BlastSearch:
                 continue
             sstats.triggers += len(triggers[0])
             hsps = self._extend_subject(
-                qcodes, scodes, triggers, si, stats, min_keep
+                qcodes, scodes, triggers, si, stats, lim.min_keep, memo
             )
             if not hsps:
                 continue
             hsps = cull_contained(hsps)
             for h in hsps:
-                if h.score < min_raw:
+                if h.score < lim.min_raw:
                     continue
                 al = self._render(
                     query_index,
@@ -454,11 +499,14 @@ class BlastSearch:
                     h,
                     fragment.get_defline(si),
                     base_oid + si,
-                    space,
+                    lim.space,
                 )
                 # Filter in the (possibly fragment-local) space; the
                 # reported evalue on the record is always global.
-                if self.stats_params.evalue(h.score, filter_space) <= p.expect:
+                if (
+                    self.stats_params.evalue(h.score, lim.filter_space)
+                    <= p.expect
+                ):
                     alignments.append(al)
         if stats is not None:
             stats.subjects += nsub
@@ -470,13 +518,20 @@ class BlastSearch:
         return alignments
 
     # ------------------------------------------------------------------
-    # batched kernel
+    # cohort kernel
     # ------------------------------------------------------------------
-    #: letters per scan slab — bounds the transient hit/trigger arrays
-    #: so huge fragments stream through in bounded memory.
+    #: letters per scan slab — bounds the rolling word codes so huge
+    #: fragments stream through in bounded memory.
     SLAB_LETTERS = 1 << 21
+    #: slab letters x cohort query letters per slab — bounds the
+    #: transient hit/trigger arrays, which grow with both: a slab holds
+    #: about as many hits as a single ~256-letter query scanning a
+    #: 128k-letter fragment.
+    SLAB_CELLS = 1 << 25
 
-    def _fragment_scan(self, fragment: SequenceDatabase) -> "_FragmentScan":
+    def _fragment_scan(
+        self, fragment: SequenceDatabase, slab_letters: int
+    ) -> "_FragmentScan":
         """Concatenate a fragment's records around sentinel codes.
 
         The returned scan carries the concatenation (one sentinel
@@ -484,9 +539,7 @@ class BlastSearch:
         and length inside it, a concat position → subject id lookup
         (O(1) per hit, replacing a binary search over ``starts``), and
         ``[lo, hi)`` subject ranges whose total letters stay under
-        :attr:`SLAB_LETTERS` — plus a per-slab cache of rolling word
-        codes, which are query-independent and so computed once no
-        matter how many queries scan the fragment.
+        ``slab_letters`` (a single longer record is a slab of its own).
         """
         nsub = fragment.num_sequences
         lens = np.fromiter(
@@ -513,7 +566,7 @@ class BlastSearch:
         lo = 0
         acc = 0
         for i in range(nsub):
-            if acc and acc + int(lens[i]) > self.SLAB_LETTERS:
+            if acc and acc + int(lens[i]) > slab_letters:
                 slabs.append((lo, i))
                 lo, acc = i, 0
             acc += int(lens[i])
@@ -521,97 +574,89 @@ class BlastSearch:
             slabs.append((lo, nsub))
         return _FragmentScan(concat, starts, lens, subj_of, slabs)
 
-    def _search_one_batched(
+    def _search_cohort(
         self,
-        query_index: int,
-        qcodes: np.ndarray,
+        qset: _QuerySet,
+        limits: list[_Limits],
         fragment: SequenceDatabase,
-        scan: "_FragmentScan",
-        db_letters: int,
-        db_num_seqs: int,
         base_oid: int,
         stats: SearchStats | None,
-        filter_db_letters: int | None = None,
-        filter_db_num_seqs: int | None = None,
-    ) -> list[Alignment]:
-        """Bulk-scan equivalent of :meth:`_search_one` (bit-identical).
+    ) -> list[list[Alignment]]:
+        """All queries of a call against one fragment, as one cohort.
 
-        One CSR lookup covers a whole slab of subjects; two-hit
-        detection is segment-aware (:func:`batch_triggers`); the
-        ungapped stage runs vectorized over every trigger point at once
-        (:func:`ungapped_extend_batch`); survivors of the gap trigger
-        go through the banded lockstep gapped engine
-        (:meth:`_gapped_stage_batch`, or the scalar stage when
-        ``gapped_batch`` is off).  Per-stage host seconds accumulate in
+        Bit-identical to :meth:`_search_one` per query.  Each slab of
+        subjects is scanned once against the query-set index; triggers
+        are segmented by (query, subject) — :func:`batch_triggers` folds
+        the pair into its sort key, so the two-hit window never pairs
+        hits of different pairs; one ungapped round loop per slab
+        extends every pair's triggers through
+        :func:`ungapped_extend_batch` (sentinels on both concatenations
+        stop extensions at record and query boundaries); after the last
+        slab, one gapped round loop runs every surviving pair through
+        the banded lockstep engine (:meth:`_gapped_stage_batch`,
+        or the scalar stage when ``gapped_batch`` is off).  The gapped
+        memo is per query and per call, so ``gapped_dedup`` counts what
+        a one-query search counts.  Per-stage host seconds accumulate in
         :attr:`stage_times`.
         """
         p = self.params
-        concat, starts, lens = scan.concat, scan.starts, scan.lens
-        subj_of, slabs = scan.subj_of, scan.slabs
-        index = self._index_for(query_index, qcodes)
-        sstats = SeedStats()
-        self._gapped_memo = {}
-        space = effective_search_space(
-            self.stats_params, len(qcodes), db_letters, db_num_seqs
+        nq = len(qset.codes)
+        qcat, qstarts, qof = qset.qcat, qset.qstarts, qset.qof
+        qletters = len(qcat) - nq - 1
+        scan = self._fragment_scan(
+            fragment,
+            max(1, min(self.SLAB_LETTERS,
+                       self.SLAB_CELLS // max(qletters, 1))),
         )
-        if filter_db_letters is not None:
-            filter_space = effective_search_space(
-                self.stats_params,
-                len(qcodes),
-                filter_db_letters,
-                filter_db_num_seqs or 1,
-            )
-        else:
-            filter_space = space
-        min_raw = self.stats_params.raw_score_for_evalue(p.expect, filter_space)
-        min_keep = self._min_keep(min_raw)
-
-        alignments: list[Alignment] = []
-        nsub = fragment.num_sequences
+        concat, starts, lens = scan.concat, scan.starts, scan.lens
+        subj_of = scan.subj_of
+        min_keep = np.array([lim.min_keep for lim in limits], dtype=float)
+        memos: list[dict[tuple, GappedExtension]] = [{} for _ in range(nq)]
+        out: list[list[Alignment]] = [[] for _ in range(nq)]
         w = p.effective_word_size
         two_hit = p.program == "blastp"
-        sstats.positions_scanned += int(lens.sum())
+        word_hits = ntrig = 0
+        pairs: list[_GapState] = []  # surviving (query, subject) pairs
         stg = self.stage_times
-        for slab_i, (lo, hi) in enumerate(slabs):
+        for lo, hi in scan.slabs:
             t0 = time.perf_counter()
+            nsl = hi - lo
             slab_off = int(starts[lo])
             slab_end = int(starts[hi - 1] + lens[hi - 1]) + 1  # + sentinel
-            pre = scan.codes_cache[slab_i]
-            if pre is None:
-                pre = rolling_codes(
-                    concat[slab_off:slab_end], w, self.nstd
-                )
-                scan.codes_cache[slab_i] = pre
-            cpos, qhit = index.find_hits(
-                concat[slab_off:slab_end], precomputed=pre
-            )
-            sstats.word_hits += len(cpos)
+            cpos, qhit = qset.index.find_hits(concat[slab_off:slab_end])
+            word_hits += len(cpos)
             if len(cpos) == 0:
                 stg["scan"] = stg.get("scan", 0.0) + time.perf_counter() - t0
                 continue
             cpos = cpos + slab_off
             subj = subj_of[cpos].astype(np.int64)
-            slocal = cpos - starts[subj]
-            t_subj, tq, ts = batch_triggers(
-                subj, slocal, qhit,
+            hq = qof[qhit]
+            # Segment id = (query, slab-local subject): groups come out
+            # query-major, subject-minor, each in the scalar visit order.
+            seg, tq, ts = batch_triggers(
+                hq * nsl + (subj - lo), cpos - starts[subj],
+                qhit - qstarts[hq],
                 window=p.two_hit_window, word_size=w, two_hit=two_hit,
             )
-            sstats.triggers += len(tq)
+            ntrig += len(tq)
             t1 = time.perf_counter()
             stg["scan"] = stg.get("scan", 0.0) + t1 - t0
             if len(tq) == 0:
                 continue
+            t_q, t_subj = np.divmod(seg, nsl)
+            t_subj += lo
             # Ungapped stage in rounds: only the first live trigger of
-            # each (subject, diagonal) run extends; every trigger the
+            # each (pair, diagonal) run extends; every trigger the
             # scalar path's covered-diagonal rule would skip is skipped
             # here by one vectorized searchsorted over the run keys —
             # batched work equals the scalar path's executed extensions.
+            qpos_c = qstarts[t_q] + tq
             spos_c = starts[t_subj] + ts
             diag = tq - ts
             n_t = len(tq)
             newg = np.empty(n_t, dtype=bool)
             newg[0] = True
-            newg[1:] = (t_subj[1:] != t_subj[:-1]) | (diag[1:] != diag[:-1])
+            newg[1:] = (seg[1:] != seg[:-1]) | (diag[1:] != diag[:-1])
             gid = np.cumsum(newg) - 1
             grp_start = np.flatnonzero(newg)
             grp_end = np.append(grp_start[1:], n_t)
@@ -626,7 +671,7 @@ class BlastSearch:
             heads = grp_start
             while heads.size:
                 r = ungapped_extend_batch(
-                    qcodes, concat, tq[heads], spos_c[heads], w,
+                    qcat, concat, qpos_c[heads], spos_c[heads], w,
                     self.matrix_ext, p.x_drop_ungapped,
                 )
                 executed[heads] = True
@@ -642,62 +687,74 @@ class BlastSearch:
                 nxt = np.searchsorted(gkey, targets, side="right")
                 ok = nxt < grp_end[gid[heads]]
                 heads = nxt[ok]
-            survivor = executed & (usc > 0) & (usc >= min_keep)
+            survivor = executed & (usc > 0) & (usc >= min_keep[t_q])
+            qbase = qstarts[t_q]
+            sbase = starts[t_subj]
             bounds = np.concatenate(
-                ([0], np.cumsum(np.bincount(t_subj - lo, minlength=hi - lo)))
+                ([0], np.cumsum(np.bincount(seg, minlength=nq * nsl)))
             )
-            slab_subjects: list[tuple[int, np.ndarray, list[UngappedHit]]] = []
-            for si in np.unique(t_subj[survivor]).tolist():
-                a = int(bounds[si - lo])
-                b = int(bounds[si - lo + 1])
-                sel = np.flatnonzero(survivor[a:b]) + a
-                if sel.size == 0:
-                    continue
-                off = int(starts[si])
-                scodes = concat[off : off + int(lens[si])]
+            for g in np.unique(seg[survivor]).tolist():
+                a, b = int(bounds[g]), int(bounds[g + 1])
+                sel = (np.flatnonzero(survivor[a:b]) + a).tolist()
+                qi, si = divmod(g, nsl)
+                si += lo
+                qo, so = int(qbase[a]), int(sbase[a])
+                scodes = concat[so : so + int(lens[si])]
                 hits = [
                     UngappedHit(
-                        int(uqs[k]), int(uqe[k]),
-                        int(uss[k]) - off, int(use[k]) - off,
+                        int(uqs[k]) - qo, int(uqe[k]) - qo,
+                        int(uss[k]) - so, int(use[k]) - so,
                         int(usc[k]),
                     )
-                    for k in sel.tolist()
+                    for k in sel
                 ]
-                slab_subjects.append((si, scodes, hits))
-            t2 = time.perf_counter()
-            stg["ungapped"] = stg.get("ungapped", 0.0) + t2 - t1
-            if p.gapped and p.gapped_batch:
-                hsp_map = self._gapped_stage_batch(qcodes, slab_subjects, stats)
-            else:
-                hsp_map = {
-                    si: self._gapped_stage(qcodes, scodes, hits, si, stats)
-                    for si, scodes, hits in slab_subjects
-                }
-            t3 = time.perf_counter()
-            stg["gapped"] = stg.get("gapped", 0.0) + t3 - t2
-            for si, scodes, _hits in slab_subjects:
-                hsps = cull_contained(hsp_map[si])
-                for h in hsps:
-                    if h.score < min_raw:
-                        continue
-                    al = self._render(
-                        query_index, qcodes, scodes, h,
-                        fragment.get_defline(si), base_oid + si, space,
-                    )
-                    if (
-                        self.stats_params.evalue(h.score, filter_space)
-                        <= p.expect
-                    ):
-                        alignments.append(al)
-            stg["render"] = stg.get("render", 0.0) + time.perf_counter() - t3
+                pairs.append(
+                    _GapState(qi, si, qset.codes[qi], scodes, hits, memos[qi])
+                )
+            stg["ungapped"] = (
+                stg.get("ungapped", 0.0) + time.perf_counter() - t1
+            )
+        # One gapped round loop over every slab's surviving pairs, so the
+        # lockstep DP cohorts do not shrink with the slab size.
+        t2 = time.perf_counter()
+        if p.gapped and p.gapped_batch:
+            hsp_map = self._gapped_stage_batch(pairs, stats)
+        else:
+            hsp_map = {
+                (st.qi, st.si): self._gapped_stage(
+                    st.q, st.scodes, st.hits, st.si, stats, st.memo
+                )
+                for st in pairs
+            }
+        t3 = time.perf_counter()
+        stg["gapped"] = stg.get("gapped", 0.0) + t3 - t2
+        for st in pairs:
+            lim = limits[st.qi]
+            als = out[st.qi]
+            for h in cull_contained(hsp_map[st.qi, st.si]):
+                if h.score < lim.min_raw:
+                    continue
+                al = self._render(
+                    st.qi, st.q, st.scodes, h,
+                    fragment.get_defline(st.si), base_oid + st.si,
+                    lim.space,
+                )
+                if (
+                    self.stats_params.evalue(h.score, lim.filter_space)
+                    <= p.expect
+                ):
+                    als.append(al)
+        stg["render"] = stg.get("render", 0.0) + time.perf_counter() - t3
         if stats is not None:
-            stats.subjects += nsub
-            stats.letters_scanned += sstats.positions_scanned
-            stats.word_hits += sstats.word_hits
-            stats.triggers += sstats.triggers
-            stats.alignments += len(alignments)
-        alignments.sort(key=Alignment.sort_key)
-        return alignments
+            nsub = fragment.num_sequences
+            stats.subjects += nq * nsub
+            stats.letters_scanned += nq * int(lens.sum())
+            stats.word_hits += word_hits
+            stats.triggers += ntrig
+            stats.alignments += sum(len(als) for als in out)
+        for als in out:
+            als.sort(key=Alignment.sort_key)
+        return out
 
     # ------------------------------------------------------------------
     def _min_keep(self, min_raw: int) -> int:
@@ -722,7 +779,8 @@ class BlastSearch:
         triggers: tuple[np.ndarray, np.ndarray],
         subject_local_index: int,
         stats: SearchStats | None,
-        min_keep: int,
+        min_keep: float,
+        memo: dict,
     ) -> list[HSP]:
         p = self.params
         w = p.effective_word_size
@@ -743,7 +801,9 @@ class BlastSearch:
                 ungapped_hits.append(hit)
         if not ungapped_hits:
             return []
-        return self._gapped_stage(q, s, ungapped_hits, subject_local_index, stats)
+        return self._gapped_stage(
+            q, s, ungapped_hits, subject_local_index, stats, memo
+        )
 
     # ------------------------------------------------------------------
     def _gapped_stage(
@@ -753,7 +813,10 @@ class BlastSearch:
         ungapped_hits: list[UngappedHit],
         subject_local_index: int,
         stats: SearchStats | None,
+        memo: dict,
     ) -> list[HSP]:
+        """Gapped stage of one (query, subject) pair; ``memo`` is the
+        query's memo of gapped extensions within the current call."""
         p = self.params
         if not p.gapped:
             return [
@@ -774,7 +837,6 @@ class BlastSearch:
         # (subject sequence, anchor) triples — common with replicated
         # subjects in synthetic DBs — reuse the memoized DP result.
         ungapped_hits.sort(key=lambda h: (-h.score, h.qstart, h.sstart))
-        memo = self._gapped_memo
         skey: bytes | None = None
         gapped: list[HSP] = []
         leftovers = []
@@ -858,38 +920,39 @@ class BlastSearch:
     # ------------------------------------------------------------------
     def _gapped_stage_batch(
         self,
-        q: np.ndarray,
-        subjects: list[tuple[int, np.ndarray, list[UngappedHit]]],
+        pairs: list[_GapState],
         stats: SearchStats | None,
-    ) -> dict[int, list[HSP]]:
-        """Round-based batched gapped stage over many subjects at once.
+    ) -> dict[tuple[int, int], list[HSP]]:
+        """Round-based batched gapped stage over many (query, subject)
+        pairs at once; returns HSPs keyed by ``(qi, si)``.
 
-        Bit-identical to calling :meth:`_gapped_stage` per subject: each
-        subject's seeds are still consumed best-first and its inside-
-        check sees exactly the gapped HSPs its own earlier seeds
-        produced, because a subject submits at most one DP per round and
-        blocks until the result lands.  Across subjects the rounds run
-        in lockstep through :func:`extend_gapped_batch`; seeds never
-        depend on *other* subjects' results, so cross-subject ordering
-        cannot change which DPs execute.  Within a round, duplicate
-        (subject sequence, anchor) keys share one DP slot and the
-        non-first submitters count as ``gapped_dedup`` — the same split
-        the scalar memo produces, keeping SearchStats path-independent.
+        Bit-identical to calling :meth:`_gapped_stage` per pair: each
+        pair's seeds are still consumed best-first and its inside-check
+        sees exactly the gapped HSPs its own earlier seeds produced,
+        because a pair submits at most one DP per round and blocks until
+        the result lands.  Across pairs the rounds run in lockstep
+        through :func:`extend_gapped_batch`; seeds never depend on
+        *other* pairs' results, so cross-pair ordering cannot change
+        which DPs execute.  Within a round, duplicate (query, subject
+        sequence, anchor) keys share one DP slot and the non-first
+        submitters count as ``gapped_dedup`` — the same split the
+        scalar per-query memo produces, keeping SearchStats
+        path-independent.
         """
         p = self.params
-        memo = self._gapped_memo
-        results: dict[int, list[HSP]] = {}
-        pending: list[_GapState] = []
-        for si, scodes, hits in subjects:
-            hits.sort(key=lambda h: (-h.score, h.qstart, h.sstart))
-            pending.append(_GapState(si, scodes, scodes.tobytes(), hits))
+        results: dict[tuple[int, int], list[HSP]] = {}
+        for st in pairs:
+            st.hits.sort(key=lambda h: (-h.score, h.qstart, h.sstart))
+            st.skey = st.scodes.tobytes()
+        pending = pairs
         while pending:
             waiting: list[_GapState] = []
             round_map: dict[tuple, int] = {}
+            bq: list[np.ndarray] = []
             bsubs: list[np.ndarray] = []
             baq: list[int] = []
             bas: list[int] = []
-            bkeys: list[tuple] = []
+            bkeys: list[tuple[dict, tuple]] = []
             for st in pending:
                 queued = False
                 while st.ptr < len(st.hits):
@@ -911,20 +974,21 @@ class BlastSearch:
                     anchor_q = mid
                     anchor_s = h.sstart + (mid - h.qstart)
                     key = (st.skey, anchor_q, anchor_s)
-                    ext = memo.get(key)
+                    ext = st.memo.get(key)
                     if ext is not None:
                         if stats is not None:
                             stats.gapped_dedup += 1
                         st.gapped.append(hsp_from_extension(st.si, ext))
                         continue
-                    slot = round_map.get(key)
+                    slot = round_map.get((st.qi,) + key)
                     if slot is None:
                         slot = len(bsubs)
-                        round_map[key] = slot
+                        round_map[(st.qi,) + key] = slot
+                        bq.append(st.q)
                         bsubs.append(st.scodes)
                         baq.append(anchor_q)
                         bas.append(anchor_s)
-                        bkeys.append(key)
+                        bkeys.append((st.memo, key))
                     elif stats is not None:
                         stats.gapped_dedup += 1
                     st.slot = slot
@@ -933,17 +997,17 @@ class BlastSearch:
                 if queued:
                     waiting.append(st)
                 else:
-                    results[st.si] = self._finish_gapped(
+                    results[st.qi, st.si] = self._finish_gapped(
                         st.si, st.gapped, st.leftovers
                     )
             if bsubs:
                 bst = GappedBatchStats()
                 exts = extend_gapped_batch(
-                    q, bsubs, baq, bas, self.matrix,
+                    bq, bsubs, baq, bas, self.matrix,
                     p.gap_open, p.gap_extend, p.x_drop_gapped,
                     band=p.band, stats=bst,
                 )
-                for key, ext in zip(bkeys, exts):
+                for (memo, key), ext in zip(bkeys, exts):
                     memo[key] = ext
                 if stats is not None:
                     stats.gapped_extensions += len(bsubs)

@@ -628,10 +628,14 @@ def _run_band_cohort(
     # leading-gap reach escapes the band — clipped, retry wider.
     ghost0 = (Hh[0, :, 0] > _NEG32) | (Hh[0, :, W - 1] > _NEG32)
     active &= ~ghost0
+    # (np.count_nonzero rather than ndarray.any: the row loop runs
+    # hundreds of times per cohort on tiny arrays, and any() carries
+    # several Python-level frames per call.)
+    n_live = np.count_nonzero(active)
 
     xd32 = np.int32(x_drop)
     r = 1
-    while active.any():
+    while n_live:
         L = len(orig)
         bstats.peak_cells = max(bstats.peak_cells, 3 * L * cap * W)
         if r >= cap:
@@ -656,9 +660,9 @@ def _run_band_cohort(
         # of the sentinel-extended matrix.  mode='clip' keeps retired
         # slots' runaway indices harmless.
         qcode = qflat[np.minimum(qoff + r - 1, qlast)]
-        np.take(sflat, sidx, out=SC, mode="clip")
+        sflat.take(sidx, out=SC, mode="clip")
         np.add(SC, (qcode * np.int32(sz + 1))[:, None], out=MI)
-        np.take(matflat, MI, out=SS, mode="clip")
+        matflat.take(MI, out=SS, mode="clip")
         np.add(Hp, SS, out=D)
         # F/diag predecessors sit one band column to the right in the
         # previous row (the window slides one subject position per row).
@@ -680,7 +684,7 @@ def _run_band_cohort(
         np.copyto(H, _NEG32, where=MB)
         np.maximum.reduce(H, axis=1, out=RB)
         imp = active & (RB > best)
-        if imp.any():
+        if np.count_nonzero(imp):
             best[imp] = RB[imp]
             best_i[imp] = r
             best_j[imp] = r + H[imp].argmax(axis=1) - off
@@ -689,7 +693,8 @@ def _run_band_cohort(
         glow = H[:, 0] > _NEG32
         gup = H[:, W - 1] > _NEG32
         ghost = active & (glow | gup)
-        if ghost.any():
+        n_ghost = np.count_nonzero(ghost)
+        if n_ghost:
             # Safe-ghost rule: a live ghost whose optimistic bound
             # (value plus the best score the remaining letters could
             # ever earn) is *strictly* below the current best cannot
@@ -710,11 +715,12 @@ def _run_band_cohort(
             H[safe_low, 0] = _NEG32
             H[safe_up, W - 1] = _NEG32
             ghost = active & ((glow & ~safe_low) | (gup & ~safe_up))
+            n_ghost = np.count_nonzero(ghost)
         done = active & ~ghost & ((RB < best - xd32) | (r >= nq))
-        if ghost.any() or done.any():
+        if n_ghost or np.count_nonzero(done):
             finish(np.flatnonzero(done))
             active &= ~(ghost | done)
-            n_live = int(active.sum())
+            n_live = np.count_nonzero(active)
             if n_live and n_live < _COMPACT_FRACTION * L:
                 keep = np.flatnonzero(active)
                 orig, nq, ns, qoff, qlast = (
@@ -798,7 +804,7 @@ def _extend_half_batch(
 
 
 def extend_gapped_batch(
-    q: np.ndarray,
+    q,
     subjects: list[np.ndarray],
     anchors_q,
     anchors_s,
@@ -808,42 +814,51 @@ def extend_gapped_batch(
     x_drop: int,
     *,
     band: int = 32,
-    max_batch: int = 1024,
+    max_batch: int = 64,
     stats: GappedBatchStats | None = None,
 ) -> list[GappedExtension]:
     """Vectorized :func:`extend_gapped` over many (subject, seed) pairs.
 
-    Element ``k`` equals
-    ``extend_gapped(q, subjects[k], anchors_q[k], anchors_s[k], ...)``
+    ``q`` is one query array shared by every problem, or a sequence
+    holding one query per subject (a multi-query cohort).  Element
+    ``k`` equals
+    ``extend_gapped(q_k, subjects[k], anchors_q[k], anchors_s[k], ...)``
     bit for bit: same spans, same score, same ops string.  Each
     extension is two banded half-extensions (forward and backward from
     the anchor) evaluated in one lockstep wavefront batch; band-edge
     hits widen and retry per half (see :func:`_extend_half_batch`), so
     the band is a pure performance knob, never a correctness one.
+    ``max_batch`` caps the halves per lockstep cohort: a cohort's DP
+    history is rows × slots × band cells, and 64 slots keep it to a few
+    megabytes while each row's NumPy calls still span thousands of
+    cells.
     """
     n = len(subjects)
-    if not (len(anchors_q) == len(anchors_s) == n):
-        raise ValueError("subjects and anchors must have equal length")
+    queries = [q] * n if isinstance(q, np.ndarray) else list(q)
+    if not (len(queries) == len(anchors_q) == len(anchors_s) == n):
+        raise ValueError(
+            "queries, subjects and anchors must have equal length"
+        )
     if stats is None:
         stats = GappedBatchStats()
     halves: list[tuple[np.ndarray, np.ndarray]] = []
     for k in range(n):
-        s = subjects[k]
+        qk, s = queries[k], subjects[k]
         aq, asub = int(anchors_q[k]), int(anchors_s[k])
-        if not (0 <= aq < len(q) and 0 <= asub < len(s)):
+        if not (0 <= aq < len(qk) and 0 <= asub < len(s)):
             raise ValueError("anchor out of range")
-        halves.append((q[aq + 1 :], s[asub + 1 :]))
-        halves.append((q[:aq][::-1], s[:asub][::-1]))
+        halves.append((qk[aq + 1 :], s[asub + 1 :]))
+        halves.append((qk[:aq][::-1], s[:asub][::-1]))
     res = _extend_half_batch(
         halves, matrix, int(gap_open), int(gap_extend), int(x_drop),
         int(band), int(max_batch), stats,
     )
     out: list[GappedExtension] = []
     for k in range(n):
-        s = subjects[k]
+        qk, s = queries[k], subjects[k]
         aq, asub = int(anchors_q[k]), int(anchors_s[k])
         fwd, bwd = res[2 * k], res[2 * k + 1]
-        anchor_score = int(matrix[q[aq], s[asub]])
+        anchor_score = int(matrix[qk[aq], s[asub]])
         out.append(
             GappedExtension(
                 qstart=aq - bwd.qlen,

@@ -200,6 +200,13 @@ def _karlin_k(probs: np.ndarray, low: int, lam: float, h: float,
     return float(k)
 
 
+#: Process-wide memo of :func:`karlin_params` results, keyed on the
+#: scoring system's content.  Solving the K series costs milliseconds
+#: and every engine of a simulated run asks for the same parameters;
+#: ``KarlinParams`` is frozen, so callers share one instance.
+_KARLIN_MEMO: dict[tuple, KarlinParams] = {}
+
+
 def karlin_params(
     matrix: np.ndarray,
     freqs: np.ndarray | None = None,
@@ -207,12 +214,29 @@ def karlin_params(
     alphabet=PROTEIN,
 ) -> KarlinParams:
     """Compute ungapped λ, K, H for a scoring matrix and composition."""
+    m = np.ascontiguousarray(matrix)
+    f = None if freqs is None else np.ascontiguousarray(freqs, dtype=float)
+    key = (
+        m.tobytes(), m.shape, m.dtype.str,
+        None if f is None else (f.tobytes(), f.shape),
+        alphabet,
+    )
+    params = _KARLIN_MEMO.get(key)
+    if params is None:
+        params = _solve_karlin(m, f, alphabet)
+        _KARLIN_MEMO[key] = params
+    return params
+
+
+def _solve_karlin(
+    matrix: np.ndarray, freqs: np.ndarray | None, alphabet
+) -> KarlinParams:
     if alphabet is PROTEIN:
         nstd = NUM_STD_AA
-        f = ROBINSON_FREQS if freqs is None else np.asarray(freqs, dtype=float)
+        f = ROBINSON_FREQS if freqs is None else freqs
     elif alphabet is DNA:
         nstd = NUM_STD_NT
-        f = UNIFORM_DNA_FREQS if freqs is None else np.asarray(freqs, dtype=float)
+        f = UNIFORM_DNA_FREQS if freqs is None else freqs
     else:
         raise KarlinError(f"unsupported alphabet {alphabet.name}")
     if f.shape != (nstd,):

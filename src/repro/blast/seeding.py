@@ -25,10 +25,8 @@ def rolling_codes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rolling word codes of ``s``; returns (positions, codes).
 
-    Positions whose word contains a wildcard (code >= ``nstd``) are
-    excluded.  Pure function of the sequence and (word_size, nstd) —
-    query-independent, so scan drivers may compute it once per subject
-    buffer and reuse it across query indexes.
+    Positions whose word contains a wildcard or a record-separating
+    sentinel (any code >= ``nstd``) are excluded.
     """
     n = len(s) - word_size + 1
     if n <= 0:
@@ -55,6 +53,13 @@ class SeedStats:
 
 class WordIndex:
     """Query word index with neighbourhood expansion (CSR layout)."""
+
+    #: query positions per neighbourhood-scoring chunk (blastp build).
+    #: A chunk's score cube is 32 KiB per position; keeping it well under
+    #: a megabyte keeps glibc's adaptive mmap threshold low, so freed
+    #: scan arrays go back to the OS instead of lingering in per-thread
+    #: arenas (halves the peak RSS of a 32-rank simulated run).
+    BUILD_CHUNK = 16
 
     def __init__(
         self,
@@ -89,19 +94,26 @@ class WordIndex:
             ok = (w0 < nstd) & (w1 < nstd) & (w2 < nstd)
             pos_ok = np.nonzero(ok)[0]
             if pos_ok.size:
-                # Rows are safe to index even for wildcards (clipped),
-                # masked positions are excluded afterwards.
-                a = std[np.minimum(w0[pos_ok], nstd - 1)]
-                b = std[np.minimum(w1[pos_ok], nstd - 1)]
-                c = std[np.minimum(w2[pos_ok], nstd - 1)]
-                scores = (
-                    a[:, :, None, None]
-                    + b[:, None, :, None]
-                    + c[:, None, None, :]
-                )
-                hit_pos, ha, hb, hc = np.nonzero(scores >= self.threshold)
-                codes_arr = ha * (nstd * nstd) + hb * nstd + hc
-                positions_arr = pos_ok[hit_pos]
+                # The score cube is nstd**3 cells per position, so the
+                # build runs in position chunks to bound the transient;
+                # chunk order keeps the (position, code) pairs in the
+                # order one pass would produce.
+                code_parts, pos_parts = [], []
+                for lo in range(0, pos_ok.size, self.BUILD_CHUNK):
+                    pc = pos_ok[lo : lo + self.BUILD_CHUNK]
+                    a = std[w0[pc]]
+                    b = std[w1[pc]]
+                    c = std[w2[pc]]
+                    scores = (
+                        a[:, :, None, None]
+                        + b[:, None, :, None]
+                        + c[:, None, None, :]
+                    )
+                    hit_pos, ha, hb, hc = np.nonzero(scores >= self.threshold)
+                    code_parts.append(ha * (nstd * nstd) + hb * nstd + hc)
+                    pos_parts.append(pc[hit_pos])
+                codes_arr = np.concatenate(code_parts)
+                positions_arr = np.concatenate(pos_parts)
                 # CSR directly from the flat (code, position) pairs.
                 order = np.argsort(codes_arr, kind="stable")
                 codes_sorted = codes_arr[order]
@@ -116,18 +128,8 @@ class WordIndex:
                 return
         if npos > 0 and (exact_only or w != 3):
             # Exact words (blastn, or exact_only protein mode): the same
-            # rolling-code scheme :meth:`subject_codes` uses, so the
-            # build is one vectorized pass instead of a per-position
-            # Python loop with a per-residue inner loop.
-            q64 = q.astype(np.int64)
-            codes = np.zeros(npos, dtype=np.int64)
-            valid = np.ones(npos, dtype=bool)
-            for k in range(w):
-                part = q64[k : k + npos]
-                codes = codes * nstd + part
-                valid &= part < nstd
-            positions = np.nonzero(valid)[0].astype(np.int64)
-            codes = codes[valid]
+            # rolling codes :meth:`subject_codes` scans with.
+            positions, codes = rolling_codes(q, w, nstd)
         else:
             positions = np.empty(0, dtype=np.int64)
             codes = np.empty(0, dtype=np.int64)
@@ -165,6 +167,14 @@ class WordIndex:
     def total_entries(self) -> int:
         return len(self.data)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the lookup arrays."""
+        if self._dense:
+            return self.data.nbytes + self.indptr.nbytes
+        return (self.data.nbytes + self._uniq.nbytes + self._ubounds.nbytes
+                + self._member.nbytes)
+
     # ------------------------------------------------------------------
     def subject_codes(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rolling word codes of ``s``; returns (positions, codes).
@@ -177,21 +187,12 @@ class WordIndex:
         self,
         s: np.ndarray,
         stats: SeedStats | None = None,
-        *,
-        precomputed: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """All word hits against subject ``s``: arrays (spos, qpos).
 
         Hits are ordered by subject position (then query position).
-        ``precomputed`` optionally supplies ``(positions, codes)`` from a
-        prior :func:`rolling_codes` pass over ``s`` — the codes depend
-        only on (word_size, nstd), so a caller scanning the same subject
-        data with many query indexes computes them once.
         """
-        if precomputed is not None:
-            pos, codes = precomputed
-        else:
-            pos, codes = self.subject_codes(s)
+        pos, codes = self.subject_codes(s)
         if stats is not None:
             stats.positions_scanned += len(s)
         if len(pos) == 0:

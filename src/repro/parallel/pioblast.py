@@ -488,6 +488,8 @@ def _ft_master(
     # fresh liveness window: the standard death sweep below then re-runs
     # against reality and re-detects the genuinely dead ones.
     alive: set[int] = {r for r in range(1, ctx.size) if r != me}
+    # The master's *belief*: not every declared-dead worker was killed
+    # by the plan (a straggler can be declared dead and later revived).
     dead: set[int] = set()
     last_seen: dict[int, float] = {w: sim.now for w in alive}
     assigned: dict[int, int] = {}        # worker -> fid being (re)searched
@@ -653,11 +655,6 @@ def _ft_master(
         dead.add(w)
         alive.discard(w)
         report.record(sim.now, "detect:worker-dead", w, why)
-        if w not in report.dead_ranks:
-            # Not every declared-dead worker was killed by the plan (a
-            # straggler can be declared dead and later revived); this
-            # ledger tracks the master's *belief*.
-            pass
         assigner.drop_worker(w)
         for fid in holders:
             holders[fid].discard(w)

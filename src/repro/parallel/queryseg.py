@@ -32,7 +32,7 @@ from repro.parallel.results import merge_select, meta_from_alignment
 from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult
 from repro.simmpi.launcher import run
 
-TAG_SECTION = 40
+TAG_SECTION = 50
 
 
 def _query_slice(nqueries: int, nworkers: int, w: int) -> tuple[int, int]:

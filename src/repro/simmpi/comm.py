@@ -485,13 +485,15 @@ class Communicator:
         self._coll_seq[r] += 1
         return tag
 
-    def _sendc(self, obj: Any, dest: int, tag: int) -> None:
-        self._send_internal(obj, dest, tag)
+    def _sendc(
+        self, obj: Any, dest: int, tag: int, nbytes: int | None = None
+    ) -> None:
+        self._send_internal(obj, dest, tag, nbytes)
 
-    def _recvc(self, source: int, tag: int) -> Any:
+    def _recvc(self, source: int, tag: int) -> _Message:
         msg = self._wait_message(source, tag, consume=True)
         self.engine.sleep(self.network.overhead)
-        return msg.payload
+        return msg
 
     @_traced_coll
     def bcast(self, obj: Any, root: int = 0) -> Any:
@@ -502,19 +504,25 @@ class Communicator:
         rel = (me - root) % size
         # Standard binomial tree: climb mask until this rank's lowest set
         # bit, receiving from the parent there; then fan out to children
-        # at every lower bit position.
+        # at every lower bit position.  The payload is sized once, at the
+        # root; every other rank forwards the size of the message it
+        # received (the object is immutable in flight, so it is the same).
+        nbytes: int | None = None
         mask = 1
         while mask < size:
             if rel & mask:
                 parent = (rel - mask + root) % size
-                obj = self._recvc(parent, tag)
+                msg = self._recvc(parent, tag)
+                obj, nbytes = msg.payload, msg.nbytes
                 break
             mask <<= 1
         mask >>= 1
+        if mask and nbytes is None:
+            nbytes = payload_nbytes(obj)
         while mask > 0:
             if rel + mask < size:
                 child = (rel + mask + root) % size
-                self._sendc(obj, child, tag)
+                self._sendc(obj, child, tag, nbytes)
             mask >>= 1
         return obj
 
@@ -536,7 +544,7 @@ class Communicator:
             child_rel = rel + mask
             if child_rel < size:
                 child = (child_rel + root) % size
-                got: dict[int, Any] = self._recvc(child, tag)
+                got: dict[int, Any] = self._recvc(child, tag).payload
                 mine.update(got)
             mask <<= 1
         if me == root:
@@ -581,7 +589,7 @@ class Communicator:
                 if r != root:
                     self._sendc(objs[r], r, tag)
             return objs[root]
-        return self._recvc(root, tag)
+        return self._recvc(root, tag).payload
 
     scatterv = scatter
 

@@ -14,6 +14,8 @@ These tests are the contract that lets every other test in the suite
 run against the fast paths only.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from repro.blast.engine import (
     ListDatabase,
     SearchParams,
     SearchStats,
+    finalize_results,
 )
 from repro.blast.extend import ungapped_extend, ungapped_extend_batch
 from repro.blast.fasta import SeqRecord
@@ -41,23 +44,11 @@ from repro.workloads import (
 # ----------------------------------------------------------------------
 
 
-def run_search(params: SearchParams, records, queries):
-    """One fragment search; returns (results, stats, report bytes)."""
-    BlastSearch._GLOBAL_INDEX_MEMO.clear()
-    eng = BlastSearch(params)
-    db = ListDatabase(records, eng.alphabet)
-    stats = SearchStats()
-    results = eng.search_fragment(
-        queries,
-        db,
-        db_letters=db.total_letters,
-        db_num_seqs=db.num_sequences,
-        stats=stats,
-    )
+def render_report(eng, queries, results, num_seqs, letters) -> bytes:
     sp = eng.stats_params
     writer = ReportWriter(
-        params.program,
-        DbStats("identity-db", db.num_sequences, db.total_letters),
+        eng.params.program,
+        DbStats("identity-db", num_seqs, letters),
         lam=sp.lam,
         k=sp.K,
         h=sp.H,
@@ -75,11 +66,80 @@ def run_search(params: SearchParams, records, queries):
         parts.extend(writer.alignment_block(a) for a in alns)
         parts.append(
             writer.query_footer(
-                eng.effective_space(len(query.sequence), db.total_letters,
-                                    db.num_sequences)
+                eng.effective_space(len(query.sequence), letters, num_seqs)
             )
         )
-    return results, stats, b"".join(parts)
+    return b"".join(parts)
+
+
+def run_search(params: SearchParams, records, queries):
+    """One fragment search; returns (results, stats, report bytes)."""
+    BlastSearch._GLOBAL_INDEX_MEMO.clear()
+    eng = BlastSearch(params)
+    db = ListDatabase(records, eng.alphabet)
+    stats = SearchStats()
+    results = eng.search_fragment(
+        queries,
+        db,
+        db_letters=db.total_letters,
+        db_num_seqs=db.num_sequences,
+        stats=stats,
+    )
+    report = render_report(eng, queries, results, db.num_sequences,
+                           db.total_letters)
+    return results, stats, report
+
+
+def run_fragmented(params, records, queries, frag_sizes, *, one_at_a_time):
+    """Search ``records`` split into consecutive fragments of
+    ``frag_sizes`` (cycled) with global statistics, as a parallel
+    worker does; either every query in one call per fragment (a cohort)
+    or one call per (query, fragment).  Returns per-query alignments
+    (ranked and capped), the summed stats and the report bytes."""
+    BlastSearch._GLOBAL_INDEX_MEMO.clear()
+    eng = BlastSearch(params)
+    letters = ListDatabase(records, eng.alphabet).total_letters
+    stats = SearchStats()
+    per_query = [[] for _ in queries]
+    base = 0
+    k = 0
+    while base < len(records):
+        chunk = records[base : base + frag_sizes[k % len(frag_sizes)]]
+        k += 1
+        db = ListDatabase(chunk, eng.alphabet)
+        common = dict(db_letters=letters, db_num_seqs=len(records),
+                      base_oid=base, stats=stats)
+        if one_at_a_time:
+            for qi, q in enumerate(queries):
+                (als,) = eng.search_fragment([q], db, **common)
+                per_query[qi].extend(
+                    dataclasses.replace(a, query_index=qi) for a in als
+                )
+        else:
+            for qi, als in enumerate(eng.search_fragment(queries, db,
+                                                         **common)):
+                per_query[qi].extend(als)
+        base += len(chunk)
+    ranked = [
+        r.alignments
+        for r in finalize_results(queries, per_query, params.max_alignments)
+    ]
+    report = render_report(eng, queries, ranked, len(records), letters)
+    return ranked, stats, report
+
+
+def assert_cohort_identical(records, queries, frag_sizes=(1, 2, 3),
+                            **params):
+    """Cohort kernel over tiny fragments == scalar, one query at a time."""
+    scalar = run_fragmented(SearchParams(batch=False, **params), records,
+                            queries, frag_sizes, one_at_a_time=True)
+    cohort = run_fragmented(SearchParams(batch=True, **params), records,
+                            queries, frag_sizes, one_at_a_time=False)
+    assert scalar[1] == cohort[1], "statistics counters diverged"
+    for qi in range(len(queries)):
+        assert scalar[0][qi] == cohort[0][qi], f"query {qi} diverged"
+    assert scalar[2] == cohort[2], "rendered report bytes diverged"
+    return cohort
 
 
 def assert_batch_identical(records, queries, **params):
@@ -235,6 +295,135 @@ class TestBatchedKernelIdentity:
             "triplicated subjects produced no memoized gapped hits"
         )
         assert scalar[1].gapped_dedup == batched[1].gapped_dedup
+
+
+class TestCohortKernelIdentity:
+    """Multi-query cohorts against many tiny fragments (the np=512
+    shape: 1-3 sequences per fragment) against the scalar kernel run
+    one query at a time."""
+
+    @staticmethod
+    def protein_case():
+        recs = list(
+            synthesize_protein_records(
+                SynthSpec(num_sequences=36, mean_length=110,
+                          family_fraction=0.6, family_size=4, seed=31)
+            )
+        )
+        # Duplicated subjects: with fragment sizes 1, 2, 3, ... the two
+        # copies of recs[0] at positions 7 and 8 share a fragment, so
+        # the per-query gapped memo answers one of them; the trailing
+        # copies land in other fragments.
+        recs = recs[:7] + [recs[0], recs[0]] + recs[7:] + recs[10:13]
+        rng = np.random.default_rng(5)
+        random_q = "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), 90))
+        queries = [
+            recs[0],
+            SeqRecord("shorter than a word", "MK"),
+            recs[9],
+            SeqRecord("no words at all", "X" * 40),
+            SeqRecord("random", random_q),
+            recs[9],  # the same query twice in one cohort
+            recs[21],
+        ]
+        return recs, queries
+
+    def test_protein_cohort(self):
+        recs, queries = self.protein_case()
+        ranked, stats, _report = assert_cohort_identical(
+            recs, queries, program="blastp"
+        )
+        assert stats.gapped_extensions > 0
+        assert stats.gapped_dedup > 0, "duplicated subjects never deduped"
+        assert ranked[0] and ranked[2]
+        assert ranked[1] == [] and ranked[3] == []
+        # Repeated query: same alignments, own query index.
+        assert [dataclasses.replace(a, query_index=5) for a in ranked[2]] \
+            == ranked[5]
+
+    def test_protein_cohort_ungapped(self):
+        recs, queries = self.protein_case()
+        assert_cohort_identical(recs, queries, program="blastp",
+                                gapped=False)
+
+    def test_protein_cohort_scalar_gapped_stage(self):
+        recs, queries = self.protein_case()
+        assert_cohort_identical(recs, queries, program="blastp",
+                                gapped_batch=False)
+
+    def test_protein_cohort_one_fragment(self):
+        recs, queries = self.protein_case()
+        assert_cohort_identical(recs, queries, frag_sizes=(len(recs),),
+                                program="blastp")
+
+    def test_protein_cohort_many_slabs(self, monkeypatch):
+        # A tiny cell budget makes every subject its own slab, so the
+        # per-query gapped memo must carry across slabs.
+        monkeypatch.setattr(BlastSearch, "SLAB_CELLS", 64)
+        recs, queries = self.protein_case()
+        assert_cohort_identical(recs, queries, frag_sizes=(len(recs),),
+                                program="blastp")
+
+    def test_nucleotide_cohort(self):
+        recs = list(
+            synthesize_dna_records(
+                SynthSpec(num_sequences=40, mean_length=200,
+                          family_fraction=0.5, family_size=4, seed=32)
+            )
+        )
+        recs = recs + recs[:4]
+        queries = [
+            recs[0],
+            SeqRecord("shorter than a word", "ACGTAC"),
+            recs[7],
+            SeqRecord("no words at all", "N" * 30),
+            recs[7],
+            recs[30],
+        ]
+        ranked = assert_cohort_identical(recs, queries, program="blastn")[0]
+        assert ranked[0] and ranked[2] and ranked[1] == []
+
+    def test_nucleotide_cohort_ungapped(self):
+        recs = synthesize_dna_records(
+            SynthSpec(num_sequences=30, mean_length=200,
+                      family_fraction=0.5, family_size=3, seed=33)
+        )
+        assert_cohort_identical(recs, [recs[0], recs[4], recs[0]],
+                                program="blastn", gapped=False)
+
+    def test_fragment_local_filter(self):
+        # mpiBLAST-style fragment-local expect filter, per query.
+        recs, queries = self.protein_case()
+        frag = recs[:3]
+        local = sum(len(r.sequence) for r in frag)
+
+        def search(batch, qs):
+            BlastSearch._GLOBAL_INDEX_MEMO.clear()
+            eng = BlastSearch(SearchParams(batch=batch))
+            return eng.search_fragment(
+                qs, ListDatabase(frag, eng.alphabet),
+                db_letters=40_000, db_num_seqs=len(recs),
+                filter_db_letters=local, filter_db_num_seqs=len(frag),
+            )
+
+        cohort = search(True, queries)
+        assert any(cohort)
+        for qi, q in enumerate(queries):
+            (want,) = search(False, [q])
+            assert cohort[qi] == [
+                dataclasses.replace(a, query_index=qi) for a in want
+            ]
+
+    @given(seed=st.integers(0, 2**16), nq=st.integers(1, 5))
+    @settings(max_examples=8, deadline=None)
+    def test_random_cohorts(self, seed, nq):
+        recs = synthesize_protein_records(
+            SynthSpec(num_sequences=18, mean_length=80,
+                      family_fraction=0.5, family_size=3, seed=seed)
+        )
+        rng = np.random.default_rng(seed)
+        queries = [recs[int(i)] for i in rng.integers(0, len(recs), nq)]
+        assert_cohort_identical(recs, queries, program="blastp")
 
 
 class TestUngappedBatchProperty:

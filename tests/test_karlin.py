@@ -187,3 +187,32 @@ def test_evalue_properties(lam, k):
     p = KarlinParams(lam=lam, K=k, H=0.4)
     assert p.evalue(50, 1e6) > p.evalue(60, 1e6) > 0
     assert p.bit_score(60) > p.bit_score(50)
+
+
+class TestKarlinMemo:
+    def test_engines_share_one_params_instance(self):
+        from repro.blast.engine import BlastSearch, SearchParams
+
+        a = BlastSearch(SearchParams())
+        b = BlastSearch(SearchParams())
+        assert a.ungapped is b.ungapped
+        n1 = BlastSearch(SearchParams(program="blastn", gapped=False))
+        n2 = BlastSearch(SearchParams(program="blastn", gapped=False))
+        assert n1.ungapped is n2.ungapped
+        assert n1.ungapped != a.ungapped
+
+    def test_different_frequencies_get_different_params(self):
+        m = blosum62()
+        skewed = ROBINSON_FREQS.copy()
+        skewed[:10] *= 1.5
+        base = karlin_params(m)
+        other = karlin_params(m, skewed)
+        assert other != base
+        assert karlin_params(m, skewed) is other
+        # The memoized default equals an explicit Robinson composition.
+        assert karlin_params(m, ROBINSON_FREQS) == base
+
+    def test_memo_keys_on_matrix_content(self):
+        assert karlin_params(dna_matrix(1, -3), alphabet=DNA) != (
+            karlin_params(dna_matrix(1, -2), alphabet=DNA)
+        )

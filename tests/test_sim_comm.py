@@ -247,3 +247,35 @@ class TestCollectives:
         r1 = launch(8, prog)
         r2 = launch(8, prog)
         assert r1.makespan == r2.makespan > 0
+
+
+class TestBcastSizing:
+    def test_payload_sized_once_at_root(self, monkeypatch):
+        # Every non-root rank forwards the size of the message it
+        # received instead of re-walking the payload: one sizing call
+        # per broadcast, and every message still carries the full size.
+        from repro.obs import EV_SEND, Tracer
+        from repro.simmpi import comm, network
+
+        payload = ({"q": "ACDEFGHIKL" * 40}, [1, 2.5, None], b"x" * 3000)
+        size = network.payload_nbytes(payload)
+        calls = []
+
+        def counting(obj):
+            calls.append(obj)
+            return network.payload_nbytes(obj)
+
+        monkeypatch.setattr(comm, "payload_nbytes", counting)
+
+        def prog(ctx):
+            got = ctx.comm.bcast(payload if ctx.rank == 0 else None, root=0)
+            assert got == payload
+
+        tracer = Tracer()
+        res = run(64, prog, FAST, tracer=tracer)
+        assert len(calls) == 1
+        assert res.messages_sent == 63
+        assert res.bytes_sent == 63 * size
+        sends = tracer.by_kind(EV_SEND)
+        assert len(sends) == 63
+        assert {e.args[2] for e in sends} == {size}
