@@ -166,7 +166,10 @@ class Communicator:
     # ------------------------------------------------------------------
     @property
     def rank(self) -> int:
-        return self.engine.current_rank()
+        rt = self.engine._active  # the baton holder is the current rank
+        if rt is None:
+            return self.engine.current_rank()  # raises SimError
+        return rt.rank
 
     def _check_rank(self, r: int, what: str) -> None:
         if not (0 <= r < self.size):
@@ -183,17 +186,16 @@ class Communicator:
         self._send_internal(obj, dest, tag, nbytes)
 
     def _fault_check(
-        self, dest: int, tag: int, size: int
+        self, me: int, dest: int, tag: int, size: int
     ) -> tuple[bool, float]:
-        """Consult the fault layer: ``(dropped, extra_arrival_delay)``.
+        """Consult the attached fault layer for one send by rank ``me``:
+        ``(dropped, extra_arrival_delay)``.
 
         The extra delay folds in both per-message delay faults and the
         transient congestion multiplier on the wire time.
         """
-        if self.faults is None:
-            return False, 0.0
         now = self.engine.now
-        dropped, extra = self.faults.on_send(self.rank, dest, tag, size, now)
+        dropped, extra = self.faults.on_send(me, dest, tag, size, now)
         slowdown = self.faults.net_factor(now)
         if slowdown > 1.0:
             extra += self.network.delivery_time(size, slowdown) - (
@@ -202,33 +204,33 @@ class Communicator:
         return dropped, extra
 
     def _record_send(
-        self, dest: int, tag: int, size: int, dropped: bool
+        self, me: int, dest: int, tag: int, size: int, dropped: bool
     ) -> tuple[int, float]:
-        """Observability bookkeeping for one injection; returns the
-        message id and injection time threaded into the envelope."""
+        """Observability bookkeeping for one injection by rank ``me``;
+        returns the message id and injection time threaded into the
+        envelope."""
         self._msg_uid += 1
         now = self.engine.now
         if self.metrics is not None:
-            rank = self.rank
-            self.metrics.inc(rank, "msgs_sent")
-            self.metrics.inc(rank, "bytes_sent", size)
-            self.metrics.observe(rank, "msg_nbytes", size)
+            self.metrics.inc(me, "msgs_sent")
+            self.metrics.inc(me, "bytes_sent", size)
+            self.metrics.observe(me, "msg_nbytes", size)
             if dropped:
-                self.metrics.inc(rank, "msgs_dropped")
+                self.metrics.inc(me, "msgs_dropped")
         if self.tracer is not None:
             self.tracer.instant(
-                EV_SEND, self.rank, now, "send",
+                EV_SEND, me, now, "send",
                 dest, tag, size, self._msg_uid, dropped,
             )
         return self._msg_uid, now
 
-    def _record_recv(self, msg: _Message) -> None:
+    def _record_recv(self, me: int, msg: _Message) -> None:
         if self.metrics is not None:
-            self.metrics.inc(self.rank, "msgs_recv")
-            self.metrics.inc(self.rank, "bytes_recv", msg.nbytes)
+            self.metrics.inc(me, "msgs_recv")
+            self.metrics.inc(me, "bytes_recv", msg.nbytes)
         if self.tracer is not None:
             self.tracer.instant(
-                EV_RECV, self.rank, self.engine.now, "recv",
+                EV_RECV, me, self.engine.now, "recv",
                 msg.source, msg.tag, msg.nbytes, msg.mid, msg.sent_at,
             )
 
@@ -241,8 +243,12 @@ class Communicator:
         self.bytes_sent += size
         # Sender-side software overhead.
         self.engine.sleep(net.overhead)
-        dropped, extra = self._fault_check(dest, tag, size)
-        mid, sent_at = self._record_send(dest, tag, size, dropped)
+        me = self.rank
+        if self.faults is None:
+            dropped, extra = False, 0.0
+        else:
+            dropped, extra = self._fault_check(me, dest, tag, size)
+        mid, sent_at = self._record_send(me, dest, tag, size, dropped)
         arrival = self.engine.now + net.delivery_time(size) + extra
         if dropped:
             # The sender pays the usual injection cost but the payload
@@ -253,14 +259,14 @@ class Communicator:
                 self.engine.sleep_until(arrival)
             return
         if net.is_eager(size):
-            self._deliver_at(arrival, self.rank, dest, tag, obj, size, None,
+            self._deliver_at(arrival, me, dest, tag, obj, size, None,
                              mid, sent_at)
         else:
             # Rendezvous: sender stays busy until the payload drains.
             done = self.engine.make_parker(
                 label=f"send(dest={dest}, tag={tag}, rendezvous)"
             )
-            self._deliver_at(arrival, self.rank, dest, tag, obj, size, done,
+            self._deliver_at(arrival, me, dest, tag, obj, size, done,
                              mid, sent_at)
             self.engine.park(done)
 
@@ -272,14 +278,18 @@ class Communicator:
         size = payload_nbytes(obj) if nbytes is None else int(nbytes)
         self.messages_sent += 1
         self.bytes_sent += size
-        self.engine.sleep(self.network.overhead)
-        dropped, extra = self._fault_check(dest, tag, size)
-        mid, sent_at = self._record_send(dest, tag, size, dropped)
-        if dropped:
-            return Request(lambda: None)
-        arrival = self.engine.now + self.network.delivery_time(size) + extra
-        self._deliver_at(arrival, self.rank, dest, tag, obj, size, None,
-                         mid, sent_at)
+        eng, net = self.engine, self.network
+        eng.sleep(net.overhead)
+        me = self.rank
+        if self.faults is None:
+            dropped, extra = False, 0.0
+        else:
+            dropped, extra = self._fault_check(me, dest, tag, size)
+        mid, sent_at = self._record_send(me, dest, tag, size, dropped)
+        if not dropped:
+            arrival = eng.now + net.delivery_time(size) + extra
+            self._deliver_at(arrival, me, dest, tag, obj, size, None,
+                             mid, sent_at)
         return Request(lambda: None)
 
     def _deliver_at(
@@ -359,11 +369,13 @@ class Communicator:
             raise SimError(f"negative timeout: {timeout}")
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        ep = self._endpoints[self.rank]
+        me = self.rank
+        eng = self.engine
+        ep = self._endpoints[me]
         msg = self._match_queued(ep, source, tag, consume=True)
         if msg is None:
             self._post_seq += 1
-            parker = self.engine.make_parker(
+            parker = eng.make_parker(
                 label=f"recv_timeout(src={source}, tag={tag})"
             )
             pr = _PendingRecv(self._post_seq, source, tag, parker, consume=True)
@@ -377,21 +389,19 @@ class Communicator:
                     ep.pending.remove(pr)
                 except ValueError:
                     return
-                self.engine.unpark_at(parker, self.engine.now, TIMEOUT)
+                eng.unpark_at(parker, eng.now, TIMEOUT)
 
-            ev = self.engine.schedule(
-                self.engine.now + timeout, fire_timeout
-            )
-            got = self.engine.park(parker)
+            ev = eng.schedule(eng.now + timeout, fire_timeout)
+            got = eng.park(parker)
             if got is TIMEOUT:
                 return TIMEOUT
-            self.engine.cancel(ev)
+            eng.cancel(ev)
             msg = got
         else:
             self._complete_rendezvous(msg)
-        self._record_recv(msg)
+        self._record_recv(me, msg)
         # Receiver-side software overhead (charged only on success).
-        self.engine.sleep(self.network.overhead)
+        eng.sleep(self.network.overhead)
         if status is not None:
             status.source, status.tag, status.nbytes = (
                 msg.source, msg.tag, msg.nbytes,
@@ -404,11 +414,12 @@ class Communicator:
         """Non-blocking receive; ``wait()`` returns the payload."""
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        ep = self._endpoints[self.rank]
+        me = self.rank
+        ep = self._endpoints[me]
         msg = self._match_queued(ep, source, tag, consume=True)
         if msg is not None:
             self._complete_rendezvous(msg)
-            self._record_recv(msg)
+            self._record_recv(me, msg)
             return Request(lambda: msg.payload)
         self._post_seq += 1
         parker = self.engine.make_parker(
@@ -420,7 +431,7 @@ class Communicator:
 
         def waiter() -> Any:
             got: _Message = self.engine.park(parker)
-            self._record_recv(got)
+            self._record_recv(me, got)
             self.engine.sleep(self.network.overhead)
             return got.payload
 
@@ -456,12 +467,13 @@ class Communicator:
     def _wait_message(self, source: int, tag: int, consume: bool) -> _Message:
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        ep = self._endpoints[self.rank]
+        me = self.rank
+        ep = self._endpoints[me]
         msg = self._match_queued(ep, source, tag, consume)
         if msg is not None:
             if consume:
                 self._complete_rendezvous(msg)
-                self._record_recv(msg)
+                self._record_recv(me, msg)
             return msg
         self._post_seq += 1
         what = "recv" if consume else "probe"
@@ -473,7 +485,7 @@ class Communicator:
         )
         msg = self.engine.park(parker)
         if consume:
-            self._record_recv(msg)
+            self._record_recv(me, msg)
         return msg
 
     # ------------------------------------------------------------------

@@ -4,10 +4,13 @@ The engine owns a virtual clock and an event queue.  Simulated processes
 (ranks) run on real Python threads, but the engine enforces that *exactly
 one* thread is runnable at any instant: a rank runs until it blocks on a
 simulated operation (a timed wait, a message receive, a bandwidth
-transfer, ...), at which point control returns to the scheduler, which
-pops the next event in ``(time, sequence)`` order and wakes the owning
-thread.  Because wake order is a deterministic function of the event
-queue, whole simulations are bit-reproducible.
+transfer, ...), at which point it pops the next events in ``(time,
+sequence)`` order itself and passes the execution baton to the rank the
+first wake addresses (or back to the scheduler thread).  Because wake
+order is a deterministic function of the event queue, whole simulations
+are bit-reproducible.  The baton passes through per-thread gates (locks
+used as binary semaphores); since only its holder runs, engine state
+needs no lock of its own.
 
 The single blocking primitive is the *parker*:
 
@@ -23,15 +26,23 @@ The single blocking primitive is the *parker*:
 
 ``sleep(dt)`` is simply a fresh parker with a self-scheduled wake, and is
 how modelled compute time and fixed-latency hops are charged.
+
+Scheduled actions (:meth:`Engine.schedule`: message deliveries, receive
+timeouts, bandwidth completions, fault windows) may run on *any* thread —
+the scheduler's or whichever rank is parking when the action comes due.
+They must not block and must not ask for the current rank: inside an
+action there is none, and :meth:`Engine.current_rank` raises
+:class:`SimError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import os
 import threading
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.obs.events import EV_KILL, EV_WAIT, SCHEDULER_RANK
@@ -63,33 +74,54 @@ class RankKilled(SimError):
         self.rank = rank
 
 
-@dataclass(order=True)
+#: Event kinds.  Actions run wherever the event comes due (scheduler or
+#: a parking rank); the last three hand a thread the baton, so only the
+#: scheduler thread interprets them.
+_ACTION = 0  # a scheduled non-blocking closure (``fn``)
+_WAKE = 1  # a parker wake stored as data (``parker``, ``value``)
+_START = 2  # first activation of the rank thread in ``value``
+_KILL = 3  # injected crash of the rank number in ``value``
+_HANDOFF = 4  # legacy closure-per-wake (``fn`` may call ``_run_thread``)
+
+
 class _Event:
-    """A queue entry: either an action or a parker wake.
+    """A queue entry's payload; the queues hold ``(time, seq, event)``
+    tuples, so ordering is plain tuple comparison (``seq`` is unique).
 
     Wake events store ``(parker, value)`` directly instead of a
     closure — the common case by far, and the allocation that used to
     dominate ``unpark_at`` on large runs.
     """
 
-    time: float
-    seq: int
-    action: Callable[[], None] | None = field(compare=False, default=None)
-    cancelled: bool = field(default=False, compare=False)
-    parker: "Parker | None" = field(default=None, compare=False)
-    value: Any = field(default=None, compare=False)
+    __slots__ = ("kind", "fn", "parker", "value", "cancelled")
+
+    def __init__(
+        self,
+        kind: int,
+        fn: Callable[[], None] | None = None,
+        parker: "Parker | None" = None,
+        value: Any = None,
+    ) -> None:
+        self.kind = kind
+        self.fn = fn
+        self.parker = parker
+        self.value = value
+        self.cancelled = False
 
 
 class _RankThread:
     """Bookkeeping for one simulated process."""
 
-    __slots__ = ("rank", "thread", "cv", "state", "waiting_on", "exc",
+    __slots__ = ("rank", "thread", "gate", "state", "waiting_on", "exc",
                  "killed")
 
-    def __init__(self, rank: int, cv: threading.Condition):
+    def __init__(self, rank: int):
         self.rank = rank
         self.thread: threading.Thread | None = None
-        self.cv = cv
+        #: closed while the rank is parked; whoever hands it the baton
+        #: opens it (a lock used as a binary semaphore)
+        self.gate = threading.Lock()
+        self.gate.acquire()
         # 'new' -> 'running' <-> 'blocked' -> 'done'
         self.state = "new"
         self.waiting_on: "Parker | None" = None
@@ -118,18 +150,24 @@ class Parker:
 class Engine:
     """Virtual-clock scheduler for cooperative rank threads.
 
-    ``fast_wakes`` enables the scheduler fast path: wake data stored on
-    the event (no closure per ``unpark_at``), a FIFO ready-queue for
-    events scheduled at the current timestamp (no heap traffic), and
-    *park-steal* — a parking rank that is about to block inspects the
-    globally next event, and if that event is a wake for one of its
-    own parkers it advances the clock and consumes it inline, skipping
-    both OS context switches of a scheduler handoff.  Stealing is
-    exact: the stolen event is what the scheduler would pop next,
-    nothing can run in between, and any non-wake event (kills,
-    timeouts, custom actions) or another rank's wake stops the steal.
-    ``fast_wakes=False`` keeps the original closure-per-wake scheduler
-    as a replay reference.
+    ``fast_wakes`` enables the scheduler fast path:
+
+    * wake data stored on the event (no closure per ``unpark_at``);
+    * a FIFO ready-queue for events scheduled at the current timestamp
+      (no heap traffic);
+    * *inline draining* — a rank about to block pops the globally next
+      events itself, advancing the clock and running scheduled actions
+      in place, until it meets a wake: its own (it never blocks), one a
+      parked rank is waiting on (the baton passes straight to that
+      rank), or a rank start or kill (the baton goes back to the
+      scheduler thread).  This is exact: the rank does what the
+      scheduler would do next, and nothing else can run in between;
+    * a sleep whose wake would be the globally next event advances the
+      clock in place, with no parker and no event.
+
+    ``fast_wakes=False`` keeps the original closure-per-wake scheduler,
+    which runs every event on the scheduler thread, as a replay
+    reference.
     """
 
     #: default for engines constructed without an explicit flag
@@ -140,23 +178,28 @@ class Engine:
     CANCEL_COMPACT_MIN: int = 64
 
     def __init__(self, fast_wakes: bool | None = None) -> None:
-        self._lock = threading.RLock()
-        self._sched_cv = threading.Condition(self._lock)
+        #: the scheduler thread's gate, opened when the baton comes back
+        self._sched_gate = threading.Lock()
+        self._sched_gate.acquire()
         self.now: float = 0.0
-        self._queue: list[_Event] = []
-        self._ready: deque[_Event] = deque()
+        #: heap of ``(time, seq, event)``
+        self._queue: list[tuple[float, int, _Event]] = []
+        #: FIFO of ``(time, seq, event)`` due at the current timestamp
+        self._ready: deque[tuple[float, int, _Event]] = deque()
         self._fast = (
             Engine.FAST_WAKES_DEFAULT if fast_wakes is None else fast_wakes
         )
         self._cancelled_pending = 0
-        #: the rank thread currently holding the execution baton; the
-        #: scheduler loop only advances while this is ``None``
+        #: the rank thread holding the execution baton, which is also the
+        #: current rank; ``None`` while the scheduler thread or a
+        #: scheduled action runs (the scheduler loop only advances then)
         self._active: _RankThread | None = None
         self._seq = 0
         self._ranks: list[_RankThread] = []
         self._started = False
-        self._failures: list[ProcessFailure] = []
-        self._tls = threading.local()
+        #: rank failures and exceptions raised by actions run inline;
+        #: :meth:`run` raises the first
+        self._failures: list[BaseException] = []
         #: ranks removed by fault injection (see :meth:`kill_rank`)
         self.dead_ranks: set[int] = set()
         #: optional observer called as ``fn(rank, time)`` when a kill fires
@@ -174,10 +217,9 @@ class Engine:
         """Register ``fn`` as the program for ``rank`` (starts at t=0)."""
         if self._started:
             raise SimError("cannot spawn after run() started")
-        rt = _RankThread(rank, threading.Condition(self._lock))
+        rt = _RankThread(rank)
 
         def body() -> None:
-            self._tls.rank_thread = rt
             try:
                 fn()
             except RankKilled:
@@ -187,14 +229,13 @@ class Engine:
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 rt.exc = ProcessFailure(rank, exc, traceback.format_exc())
             finally:
-                with self._lock:
-                    rt.state = "done"
-                    if rt.exc is not None:
-                        self._failures.append(rt.exc)
-                    # A finishing rank always holds the baton; return it
-                    # to the scheduler.
-                    self._active = None
-                    self._sched_cv.notify()
+                rt.state = "done"
+                if rt.exc is not None:
+                    self._failures.append(rt.exc)
+                # A finishing rank always holds the baton; return it to
+                # the scheduler.
+                self._active = None
+                self._sched_gate.release()
 
         rt.thread = threading.Thread(
             target=body, name=f"simrank-{rank}", daemon=True
@@ -205,33 +246,41 @@ class Engine:
     # event queue
     # ------------------------------------------------------------------
     def schedule(self, t: float, action: Callable[[], None]) -> _Event:
-        """Schedule ``action`` to run on the scheduler thread at time ``t``.
+        """Schedule ``action`` to run at virtual time ``t``.
 
-        Actions run with the engine lock held and must not block.
+        The action runs on the scheduler thread or inline on whichever
+        rank thread is parking when it comes due.  It must not block
+        (park, sleep, receive) and must not ask for the current rank:
+        inside an action there is none, and :meth:`current_rank` raises
+        :class:`SimError`.  An exception it raises aborts :meth:`run`
+        with that exception.
         """
-        with self._lock:
-            return self._push_event(t, action=action)
+        return self._push_event(t, _ACTION, fn=action)
 
     def _push_event(
         self,
         t: float,
-        action: Callable[[], None] | None = None,
+        kind: int,
+        fn: Callable[[], None] | None = None,
         parker: "Parker | None" = None,
         value: Any = None,
     ) -> _Event:
-        """(lock held) Enqueue an event at ``t``, routing same-timestamp
-        events to the FIFO ready-queue on the fast path."""
-        if t < self.now - 1e-12:
-            raise SimError(f"cannot schedule in the past ({t} < {self.now})")
-        t = max(t, self.now)
-        ev = _Event(t, self._seq, action, parker=parker, value=value)
+        """Enqueue an event at ``t``, routing same-timestamp events to
+        the FIFO ready-queue on the fast path."""
+        now = self.now
+        if t < now - 1e-12:
+            raise SimError(f"cannot schedule in the past ({t} < {now})")
+        ev = _Event(kind, fn, parker, value)
+        if t <= now:
+            t = now
+            if self._fast:
+                # Fires at the current timestamp: seq order alone decides
+                # its place, so a FIFO append replaces the heap push.
+                self._ready.append((t, self._seq, ev))
+                self._seq += 1
+                return ev
+        heapq.heappush(self._queue, (t, self._seq, ev))
         self._seq += 1
-        if self._fast and t <= self.now:
-            # Fires at the current timestamp: seq order alone decides
-            # its place, so a FIFO append replaces the heap push.
-            self._ready.append(ev)
-        else:
-            heapq.heappush(self._queue, ev)
         return ev
 
     def cancel(self, ev: _Event) -> None:
@@ -244,63 +293,52 @@ class Engine:
         cancel timeouts at a high rate (the FT drivers' heartbeats)
         grow the heap without bound.
         """
-        with self._lock:
-            if ev.cancelled:
-                return
-            ev.cancelled = True
-            self._cancelled_pending += 1
-            if (
-                self._cancelled_pending > self.CANCEL_COMPACT_MIN
-                and self._cancelled_pending * 2
-                > len(self._queue) + len(self._ready)
-            ):
-                self._queue = [e for e in self._queue if not e.cancelled]
-                heapq.heapify(self._queue)
-                if self._ready:
-                    self._ready = deque(
-                        e for e in self._ready if not e.cancelled
-                    )
-                self._cancelled_pending = 0
+        if ev.cancelled:
+            return
+        ev.cancelled = True
+        self._cancelled_pending += 1
+        q, rdy = self._queue, self._ready
+        if (
+            self._cancelled_pending > self.CANCEL_COMPACT_MIN
+            and self._cancelled_pending * 2 > len(q) + len(rdy)
+        ):
+            q[:] = [e for e in q if not e[2].cancelled]
+            heapq.heapify(q)
+            if rdy:
+                live = [e for e in rdy if not e[2].cancelled]
+                rdy.clear()
+                rdy.extend(live)
+            self._cancelled_pending = 0
 
-    # -- queue pop/peek ------------------------------------------------
-    def _next_event(self) -> tuple[Any, _Event] | None:
-        """(lock held) Purge cancelled heads; peek the next event.
+    # -- queue peek ------------------------------------------------------
+    def _next_source(self) -> "list | deque | None":
+        """Purge cancelled heads; return the queue holding the next event
+        (the ready deque or the heap), or ``None`` when both are empty.
 
-        Returns ``(source, event)`` where source is the ready deque or
-        the heap, or ``None`` when both are empty.  The next event is
-        the smaller of the two heads by ``(time, seq)`` — ready events
-        were scheduled at what was then the current time, so this merge
-        reproduces the pure-heap order exactly.
+        The next event is the smaller of the two heads by ``(time,
+        seq)`` — ready events were scheduled at what was then the
+        current time, so this merge reproduces the pure-heap order
+        exactly.
         """
         q, rdy = self._queue, self._ready
-        while True:
-            while q and q[0].cancelled:
-                heapq.heappop(q)
-                if self._cancelled_pending:
-                    self._cancelled_pending -= 1
-            while rdy and rdy[0].cancelled:
-                rdy.popleft()
-                if self._cancelled_pending:
-                    self._cancelled_pending -= 1
-            if rdy and q:
-                er, eh = rdy[0], q[0]
-                src = rdy if (er.time, er.seq) < (eh.time, eh.seq) else q
-            elif rdy:
-                src = rdy
-            elif q:
-                src = q
-            else:
-                return None
-            return src, rdy[0] if src is rdy else q[0]
+        while q and q[0][2].cancelled:
+            heapq.heappop(q)
+            if self._cancelled_pending:
+                self._cancelled_pending -= 1
+        while rdy and rdy[0][2].cancelled:
+            rdy.popleft()
+            if self._cancelled_pending:
+                self._cancelled_pending -= 1
+        if rdy:
+            return q if q and q[0] < rdy[0] else rdy
+        return q if q else None
 
-    def _pop_event(self, src: Any) -> _Event:
-        """(lock held) Pop the event just peeked from ``src``."""
-        if src is self._ready:
-            return self._ready.popleft()
-        return heapq.heappop(self._queue)
+    def _pop(self, src: "list | deque") -> tuple[float, int, _Event]:
+        """Pop the head :meth:`_next_source` returned."""
+        return src.popleft() if src is self._ready else heapq.heappop(src)
 
     def _fire_wake(self, ev: _Event) -> None:
-        """(lock held) Deliver a fast-path wake event.
+        """(scheduler thread) Deliver a fast-path wake event.
 
         Semantics match the legacy per-``unpark_at`` closure exactly:
         wakes addressed to killed ranks are dropped, double wakes are an
@@ -308,7 +346,6 @@ class Engine:
         parked on this parker (otherwise the value is pre-posted).
         """
         parker = ev.parker
-        assert parker is not None
         owner = parker.owner
         if owner.killed:
             return
@@ -323,9 +360,13 @@ class Engine:
     # blocking primitives (called from rank threads)
     # ------------------------------------------------------------------
     def _me(self) -> _RankThread:
-        rt = getattr(self._tls, "rank_thread", None)
+        rt = self._active
         if rt is None:
-            raise SimError("blocking primitive called outside a rank thread")
+            raise SimError(
+                "no current rank: blocking primitive or current_rank() "
+                "called outside a rank program (scheduled actions have "
+                "no current rank)"
+            )
         return rt
 
     def make_parker(self, label: str | None = None) -> Parker:
@@ -339,91 +380,103 @@ class Engine:
             raise SimError("cannot park on another thread's parker")
         if rt.killed:
             raise RankKilled(rt.rank)
-        with self._lock:
-            # Wait spans start at park entry: a steal below may advance
-            # the clock, and the span must cover that virtual time just
-            # as it would had the rank been blocked while it passed.
-            t0 = self.now
-            target: _RankThread | None = None
-            if not parker.woken and self._fast:
-                target = self._drain_events(rt, parker, t0)
-            if not parker.woken:
-                rt.waiting_on = parker
-                rt.state = "blocked"
-                if target is not None:
-                    # Direct handoff: the drain below found the globally
-                    # next event to be another rank's wake — pass the
-                    # baton straight to it, skipping the scheduler
-                    # thread (one OS context switch instead of two).
-                    self._active = target
-                    target.state = "running"
-                    target.cv.notify()
-                else:
-                    self._active = None
-                    self._sched_cv.notify()
-                while rt.state != "running":
-                    rt.cv.wait()
-                rt.waiting_on = None
-                # Virtual time only passes while ranks are parked, so
-                # these spans tile a rank's lifetime — the totality the
-                # critical-path attribution in repro.obs relies on.
-                if self.metrics is not None and self.now > t0:
-                    self.metrics.inc(rt.rank, "wait_s", self.now - t0)
-                if self.tracer is not None:
-                    self.tracer.span(
-                        EV_WAIT, rt.rank, t0, self.now,
-                        parker.label or "unlabelled",
-                    )
-            if rt.killed:
-                raise RankKilled(rt.rank)
-            if not parker.woken:
-                raise SimError("spurious wakeup without unpark")
-            return parker.value
+        # Wait spans start at park entry: the drain below may advance
+        # the clock, and the span must cover that virtual time just as
+        # it would had the rank been blocked while it passed.
+        t0 = self.now
+        target: _RankThread | None = None
+        if not parker.woken and self._fast:
+            target = self._drain_events(rt, parker, t0)
+        if not parker.woken:
+            rt.waiting_on = parker
+            rt.state = "blocked"
+            if target is not None:
+                # Direct handoff: the drain found the globally next event
+                # to be another rank's wake — pass the baton straight to
+                # it, skipping the scheduler thread (one OS context
+                # switch instead of two).
+                self._active = target
+                target.state = "running"
+                target.gate.release()
+            else:
+                self._active = None
+                self._sched_gate.release()
+            # Whoever opens the gate has set ``_active`` to this rank.
+            rt.gate.acquire()
+            rt.waiting_on = None
+            # Virtual time only passes while ranks are parked, so these
+            # spans tile a rank's lifetime — the totality the
+            # critical-path attribution in repro.obs relies on.
+            if self.metrics is not None and self.now > t0:
+                self.metrics.inc(rt.rank, "wait_s", self.now - t0)
+            if self.tracer is not None:
+                self.tracer.span(
+                    EV_WAIT, rt.rank, t0, self.now,
+                    parker.label or "unlabelled",
+                )
+        if rt.killed:
+            raise RankKilled(rt.rank)
+        if not parker.woken:
+            raise SimError("spurious wakeup without unpark")
+        return parker.value
 
     def _drain_events(
         self, rt: _RankThread, parker: Parker, t0: float
     ) -> "_RankThread | None":
-        """(lock held, fast path) Fire due wake events inline.
+        """(fast path) Run due events inline on ``rt``'s thread.
 
         The caller is about to block on ``parker``, so it holds the
         execution baton and the scheduler's next steps are fully
         determined: pop the globally next event — the minimum over
         ``(time, seq)`` — advance the clock to its time, and interpret
-        it.  While that event is a *wake*, this loop does exactly that,
-        here, on the caller's thread; nothing else can execute in
-        between, so the simulation is bit-identical to the scheduler
-        doing it.  Three cases:
+        it.  This loop does exactly that, here, on the caller's thread;
+        nothing else can execute in between, so the simulation is
+        bit-identical to the scheduler doing it.  By event:
 
+        * a scheduled action — run it in place (with no current rank, so
+          :meth:`current_rank` raises inside it) and keep draining; if
+          it raises, the exception is recorded for :meth:`run` to raise
+          and the baton goes back to the scheduler thread;
         * the caller's own ``parker`` — record the wait span and return;
-          ``park`` sees ``woken`` and never blocks (a ``sleep`` whose
-          wake is globally next costs no OS context switch at all);
+          ``park`` sees ``woken`` and never blocks;
         * a wake some other rank is currently parked on — return that
           rank as the handoff target; ``park`` passes the baton to it
-          directly, skipping the scheduler thread (one context switch
-          instead of two);
+          directly, skipping the scheduler thread;
         * a pre-posted wake (owner not parked on it) or a wake for a
           killed rank — mark/drop it, exactly as the scheduler would,
-          and keep draining.
+          and keep draining;
+        * a rank start or kill — stop with ``None``, leaving the event
+          queued: the baton goes back to the scheduler thread, which
+          alone hands threads the baton for those.
 
-        Any non-wake event (kill, timeout, custom action) or an empty
-        queue stops the drain with ``None``: the baton goes back to the
-        scheduler thread, which alone runs actions.
-
-        ``t0`` is the virtual time at park entry; the wait span and
-        wait-time metric recorded when the caller's own wake is
-        consumed use it so they match the blocked path exactly.
+        An empty queue also stops the drain with ``None``.  ``t0`` is
+        the virtual time at park entry; the wait span and wait-time
+        metric recorded when the caller's own wake is consumed use it
+        so they match the blocked path exactly.
         """
         while True:
-            nxt = self._next_event()
-            if nxt is None:
+            src = self._next_source()
+            if src is None:
                 return None
-            src, ev = nxt
-            if ev.parker is None:
+            t, _seq, ev = src[0]
+            kind = ev.kind
+            if kind > _WAKE:
                 return None
-            self._pop_event(src)
+            self._pop(src)
             # The globally next event's time bounds every remaining
             # event, so this is the same clock advance run() would do.
-            self.now = max(self.now, ev.time)
+            if t > self.now:
+                self.now = t
+            if kind == _ACTION:
+                self._active = None
+                try:
+                    ev.fn()
+                except BaseException as exc:  # noqa: BLE001 - run() raises it
+                    self._failures.append(exc)
+                    return None
+                finally:
+                    self._active = rt
+                continue
             p = ev.parker
             owner = p.owner
             if owner.killed:
@@ -454,7 +507,26 @@ class Engine:
         self.sleep_until(self.now + dt)
 
     def sleep_until(self, t: float) -> None:
-        p = self.make_parker(label="sleep")
+        """Park this rank until virtual time ``t``."""
+        rt = self._me()
+        if self._fast and not rt.killed:
+            now = self.now
+            if t < now - 1e-12:
+                raise SimError(f"cannot schedule in the past ({t} < {now})")
+            if t < now:
+                t = now
+            q = self._queue
+            self._next_source()  # purge cancelled heads
+            if not self._ready and (not q or q[0][0] > t):
+                # The wake would be the globally next event: advance the
+                # clock in place and record what park() would.
+                self.now = t
+                if self.metrics is not None and t > now:
+                    self.metrics.inc(rt.rank, "wait_s", t - now)
+                if self.tracer is not None:
+                    self.tracer.span(EV_WAIT, rt.rank, now, t, "sleep")
+                return
+        p = Parker(rt, "sleep")
         self.unpark_at(p, t)
         self.park(p)
 
@@ -462,9 +534,8 @@ class Engine:
         """Schedule the wake of ``parker`` at virtual time ``t``."""
         if self._fast:
             # Fast path: the wake is data on the event, not a closure;
-            # the scheduler loop (or a park-steal) interprets it.
-            with self._lock:
-                self._push_event(t, parker=parker, value=value)
+            # the scheduler loop (or a draining rank) interprets it.
+            self._push_event(t, _WAKE, parker=parker, value=value)
             return
 
         def wake() -> None:
@@ -483,22 +554,24 @@ class Engine:
             # else: the value is stored; the owner will pick it up when it
             # parks on this parker (pre-posted receive semantics).
 
-        self.schedule(t, wake)
+        self._push_event(t, _HANDOFF, fn=wake)
 
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
     def kill_rank_at(self, rank: int, t: float) -> None:
         """Schedule an injected crash of ``rank`` at virtual time ``t``."""
-        self.schedule(t, lambda: self.kill_rank(rank))
+        self._push_event(t, _KILL, value=rank)
 
     def kill_rank(self, rank: int) -> None:
-        """(scheduler action) Crash ``rank`` now.
+        """(scheduler thread) Crash ``rank`` now.
 
         The rank's thread unwinds with :class:`RankKilled` at its next
         (or current) blocking operation; any wake later addressed to one
         of its parkers is silently dropped.  Killing a finished or
-        already-dead rank is a no-op.
+        already-dead rank is a no-op.  Use :meth:`kill_rank_at` to
+        schedule a kill: unwinding a parked rank hands it the baton,
+        which only the scheduler thread may do.
         """
         rt = next((r for r in self._ranks if r.rank == rank), None)
         if rt is None:
@@ -518,13 +591,13 @@ class Engine:
             self._run_thread(rt)
         # state 'new': the kill takes effect at the rank's first blocking
         # operation after activation; 'running' cannot happen here (kill
-        # actions run on the scheduler thread).
+        # events stop a draining rank and run on the scheduler thread).
 
     # ------------------------------------------------------------------
     # scheduler
     # ------------------------------------------------------------------
     def _run_thread(self, rt: _RankThread) -> None:
-        """(scheduler thread, lock held) hand control to ``rt`` and wait.
+        """(scheduler thread) Hand the baton to ``rt`` and wait for it.
 
         On the fast path ranks may relay the baton among themselves
         (see :meth:`park`); the scheduler therefore waits for the baton
@@ -538,38 +611,44 @@ class Engine:
         if not rt.thread.is_alive():  # first activation
             rt.thread.start()
         else:
-            rt.cv.notify()
-        while self._active is not None:
-            self._sched_cv.wait()
+            rt.gate.release()
+        # Whoever opens this gate has set ``_active`` to ``None``.
+        self._sched_gate.acquire()
 
     def run(self) -> float:
         """Run the simulation to completion; returns final virtual time."""
         if self._started:
             raise SimError("engine already ran")
         self._started = True
-        with self._lock:
-            for rt in self._ranks:
-                ev = _Event(0.0, self._seq, lambda rt=rt: self._run_thread(rt))
-                self._seq += 1
-                heapq.heappush(self._queue, ev)
+        for rt in self._ranks:
+            heapq.heappush(
+                self._queue, (0.0, self._seq, _Event(_START, value=rt))
+            )
+            self._seq += 1
+        with _on_one_cpu():
             while True:
-                nxt = self._next_event()
-                if nxt is None:
+                src = self._next_source()
+                if src is None:
                     break
-                src, ev = nxt
-                self._pop_event(src)
-                if ev.time < self.now - 1e-9:
+                t, _seq, ev = self._pop(src)
+                if t < self.now - 1e-9:
                     raise SimError("time went backwards")
-                self.now = max(self.now, ev.time)
-                if ev.parker is not None:
+                if t > self.now:
+                    self.now = t
+                kind = ev.kind
+                if kind == _WAKE:
                     self._fire_wake(ev)
+                elif kind == _START:
+                    self._run_thread(ev.value)
+                elif kind == _KILL:
+                    self.kill_rank(ev.value)
                 else:
-                    ev.action()
+                    ev.fn()
                 if self._failures:
                     raise self._failures[0]
-            blocked = [rt.rank for rt in self._ranks if rt.state == "blocked"]
-            if blocked:
-                raise SimError(self._deadlock_message(blocked))
+        blocked = [rt.rank for rt in self._ranks if rt.state == "blocked"]
+        if blocked:
+            raise SimError(self._deadlock_message(blocked))
         return self.now
 
     def _deadlock_message(self, blocked: list[int]) -> str:
@@ -605,7 +684,39 @@ class Engine:
         return len(self._ranks)
 
     def current_rank(self) -> int:
+        """The rank of the running program; :class:`SimError` outside one
+        (including inside a scheduled action, wherever it runs)."""
         return self._me().rank
+
+
+@contextlib.contextmanager
+def _on_one_cpu():
+    """Confine the calling thread to the CPU it is running on, and
+    restore its CPU set on exit.  Threads started meanwhile inherit the
+    confinement: the rank threads, and any a rank program starts.
+
+    Only the baton holder ever runs, so a simulation has no use for a
+    second CPU, while every handoff to a thread parked on another CPU
+    costs cross-CPU wakeups (the gate, then the interpreter lock).  On
+    one CPU the woken rank simply runs once the handoff blocks.  Where
+    the platform cannot report or set the CPU, nothing changes.
+    """
+    try:
+        allowed = os.sched_getaffinity(0)
+        with open("/proc/thread-self/stat", "rb") as f:
+            # field 39, "processor"; fields resume after the ")" closing
+            # the command name at field 3
+            cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
+        pinned = len(allowed) > 1 and cpu in allowed
+        if pinned:
+            os.sched_setaffinity(0, {cpu})
+    except (AttributeError, OSError, ValueError, IndexError):
+        pinned = False
+    try:
+        yield
+    finally:
+        if pinned:
+            os.sched_setaffinity(0, allowed)
 
 
 def run_simulation(programs: Iterable[Callable[[], None]]) -> float:

@@ -251,7 +251,9 @@ def run(
     ``on_cluster`` is called with the assembled :class:`Cluster` before
     any rank starts — the hook point for out-of-band administrative
     actions (e.g. ``cluster.engine.schedule(t, fn)`` to mutate the
-    shared store mid-run, the way an external ``formatdb`` would).
+    shared store mid-run, the way an external ``formatdb`` would).  Such
+    actions may run on any rank's thread: they must not block and must
+    not ask for the current rank (see :meth:`Engine.schedule`).
     """
     plat = platform if platform is not None else PlatformSpec()
     cluster = Cluster(

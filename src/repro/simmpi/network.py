@@ -26,8 +26,24 @@ import numpy as np
 
 def payload_nbytes(obj: object) -> int:
     """Best-effort wire size of ``obj`` in bytes (deterministic)."""
+    # Exact-type fast path for the small control messages that dominate
+    # message counts (work polls, replies, heartbeats).  None of these
+    # types has a ``payload_nbytes`` method, so each answer is the one
+    # the generic walk below gives.
+    t = type(obj)
+    if t is int or t is float:
+        return 8
+    if t is bytes:
+        return len(obj)
+    if t is str:
+        return len(obj) if obj.isascii() else len(
+            obj.encode("utf-8", "surrogateescape"))
+    if t is tuple:
+        return 16 + sum(map(payload_nbytes, obj))
     if obj is None:
         return 0
+    if t is bool:
+        return 1
     meth = getattr(obj, "payload_nbytes", None)
     if callable(meth):
         return int(meth())

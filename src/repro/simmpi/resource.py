@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _EPS = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class _Transfer:
     parker: Parker
     remaining: float  # bytes still to move
@@ -158,17 +158,21 @@ class SharedBandwidth:
         self._completion_event = self.engine.schedule(t, self._complete)
 
     def _complete(self) -> None:
-        """Scheduler action: finish every transfer that has drained."""
+        """Scheduled action: finish every transfer that has drained."""
         self._completion_event = None
         self._settle()
-        done = [tr for tr in self._active if tr.remaining <= _EPS * self.capacity]
+        limit = _EPS * self.capacity
+        done: list[_Transfer] = []
+        live: list[_Transfer] = []
+        for tr in self._active:
+            (done if tr.remaining <= limit else live).append(tr)
         if not done:
             # Numerical slack; try again with fresh rates.
             self._reschedule()
             return
-        self._active = [tr for tr in self._active if tr not in done]
+        self._active = live
         if self.tracer is not None:
-            # Runs on the scheduler thread: no owning rank.
+            # A scheduled action has no owning rank.
             self.tracer.instant(
                 EV_STREAMS, SCHEDULER_RANK, self.engine.now,
                 "streams", self.name, len(self._active),

@@ -14,7 +14,9 @@ These tests are the contract that lets every other test in the suite
 run against the fast paths only.
 """
 
+import contextlib
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from repro.blast.extend import ungapped_extend, ungapped_extend_batch
 from repro.blast.fasta import SeqRecord
 from repro.blast.matrices import blosum62
 from repro.blast.output import DbStats, HitSummary, ReportWriter
-from repro.simmpi.engine import Engine, SimError
+from repro.simmpi.comm import TIMEOUT, Communicator
+from repro.simmpi.engine import Engine, RankKilled, SimError
+from repro.simmpi.network import NetworkModel
 from repro.workloads import (
     SynthSpec,
     synthesize_dna_records,
@@ -457,10 +461,10 @@ class TestUngappedBatchProperty:
 def run_fingerprint(program, nprocs, *, fast, faults=None):
     """Full-driver run under one scheduler mode; dense fingerprint."""
     from repro.experiments.common import ExperimentWorkload, run_program_raw
+    from repro.obs import Tracer
 
-    old = Engine.FAST_WAKES_DEFAULT
-    Engine.FAST_WAKES_DEFAULT = fast
-    try:
+    tracer = Tracer()
+    with scheduler_mode(fast):
         wl = ExperimentWorkload(
             db_spec=SynthSpec(num_sequences=90, mean_length=130,
                               family_fraction=0.6, family_size=4,
@@ -468,11 +472,28 @@ def run_fingerprint(program, nprocs, *, fast, faults=None):
             query_bytes=2_500,
         )
         _b, result, store, _cfg = run_program_raw(
-            program, nprocs, wl, faults=faults
+            program, nprocs, wl, faults=faults, tracer=tracer
         )
+    files = {p: store.read_all(p) for p in store.listdir()}
+    return {
+        **result_fingerprint(result),
+        "files": files,
+        "events": tracer.as_tuples(),
+    }
+
+
+@contextlib.contextmanager
+def scheduler_mode(fast):
+    old = Engine.FAST_WAKES_DEFAULT
+    Engine.FAST_WAKES_DEFAULT = fast
+    try:
+        yield
     finally:
         Engine.FAST_WAKES_DEFAULT = old
-    files = {p: store.read_all(p) for p in store.listdir()}
+
+
+def result_fingerprint(result):
+    """Every simulated fact a ``RunResult`` carries."""
     return {
         "makespan": result.makespan,
         "phase_times": result.phase_times,
@@ -481,7 +502,42 @@ def run_fingerprint(program, nprocs, *, fast, faults=None):
         "fs_ops": (result.fs_read_ops, result.fs_write_ops),
         "dead_ranks": result.dead_ranks,
         "promotions": result.promotions,
-        "files": files,
+        "faults": [
+            (e.time, e.kind, e.detail) for e in result.fault_report.events
+        ],
+        "metrics": result.metrics,
+    }
+
+
+def hier_service_fingerprint(db, queries, *, fast):
+    """Elastic hier-service run (np=13, K=3 replicate groups, group g1
+    killed mid-stream) under one scheduler mode."""
+    from repro.costmodel import CostModel
+    from repro.hier import HierConfig, run_hier_service
+    from repro.obs import Tracer
+    from repro.parallel import ParallelConfig, stage_inputs
+    from repro.service import poisson_arrivals
+    from repro.simmpi import FaultPlan, FileStore
+
+    store = FileStore()
+    cfg = stage_inputs(store, db, queries,
+                       config=ParallelConfig(cost=CostModel()),
+                       title="test nr")
+    tracer = Tracer()
+    with scheduler_mode(fast):
+        sres = run_hier_service(
+            13, store, cfg, poisson_arrivals(queries, rate=0.5, seed=0),
+            hier=HierConfig(ngroups=3, mode="replicate"),
+            faults=FaultPlan.parse("crash=group:g1@6"), tracer=tracer,
+        )
+    return {
+        **result_fingerprint(sres.result),
+        "report": sres.report,
+        "per_query": sres.per_query,
+        "latency": sres.latency,
+        "counts": (sres.waves, sres.degraded_queries, sres.shed_queries,
+                   sres.regroups),
+        "events": tracer.as_tuples(),
     }
 
 
@@ -502,6 +558,16 @@ class TestSchedulerReplayIdentity:
         )
         fast = run_fingerprint("pioblast", 8, fast=True, faults=plan)
         legacy = run_fingerprint("pioblast", 8, fast=False, faults=plan)
+        assert fast == legacy
+
+    def test_elastic_group_kill_replay(self, small_db, small_queries):
+        # Polls, replies, heartbeats, receive timeouts and a whole-group
+        # kill: the message mix whose deliveries the fast path runs
+        # inline on parking ranks.
+        fast = hier_service_fingerprint(small_db, small_queries, fast=True)
+        legacy = hier_service_fingerprint(small_db, small_queries,
+                                          fast=False)
+        assert fast["dead_ranks"] and fast["messages_sent"] > 100
         assert fast == legacy
 
 
@@ -567,6 +633,126 @@ class TestSchedulerFastPathUnits:
             return makespan, order
 
         assert trace(True) == trace(False)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "legacy"])
+class TestInlineActionSemantics:
+    """Scheduled actions run inline on a parking rank's thread on the
+    fast path; each case must behave exactly as under the legacy
+    scheduler, which runs them on the scheduler thread."""
+
+    @staticmethod
+    def race(fast, *, delivery_first):
+        # The message arrives at t=1.0 (sent at 0.5, latency 0.5) and
+        # the receive times out at t=1.0; whichever was scheduled first
+        # wins the instant.
+        eng = Engine(fast_wakes=fast)
+        comm = Communicator(eng, 2, NetworkModel(latency=0.5, overhead=0.0))
+        got = []
+
+        def sender():
+            eng.sleep(0.5)
+            comm.isend("payload", 1, tag=3, nbytes=0)
+
+        def receiver():
+            if delivery_first:
+                eng.sleep(0.75)  # timeout scheduled at 0.75 > 0.5
+                got.append(comm.recv_with_timeout(0, 3, timeout=0.25))
+            else:
+                got.append(comm.recv_with_timeout(0, 3, timeout=1.0))
+                got.append(comm.recv(0, 3))  # still queued
+            got.append(eng.now)
+
+        eng.spawn(sender, 0)
+        eng.spawn(receiver, 1)
+        eng.run()
+        return got
+
+    def test_delivery_scheduled_first_wins(self, fast):
+        assert self.race(fast, delivery_first=True) == ["payload", 1.0]
+
+    def test_timeout_scheduled_first_wins(self, fast):
+        assert self.race(fast, delivery_first=False) == [
+            TIMEOUT, "payload", 1.0,
+        ]
+
+    def test_action_exception_aborts_run(self, fast):
+        eng = Engine(fast_wakes=fast)
+        swallowed = []
+
+        def boom():
+            raise ValueError("boom in action")
+
+        def prog():
+            eng.schedule(1.0, boom)
+            try:
+                eng.sleep(2.0)  # the action comes due while parked
+            except Exception as exc:  # noqa: BLE001 - must not get here
+                swallowed.append(exc)
+
+        eng.spawn(prog, 0)
+        with pytest.raises(ValueError, match="boom in action"):
+            eng.run()
+        assert swallowed == []
+
+    @pytest.mark.parametrize("wake_first", [True, False])
+    def test_kill_at_instant_of_pending_wake_unwinds(self, fast, wake_first):
+        eng = Engine(fast_wakes=fast)
+        log = []
+
+        def victim():
+            p = eng.make_parker("victim")
+            if wake_first:
+                eng.unpark_at(p, 1.0, "woken")
+                eng.kill_rank_at(0, 1.0)
+            else:
+                eng.kill_rank_at(0, 1.0)
+                eng.unpark_at(p, 1.0, "woken")
+            try:
+                log.append(eng.park(p))
+                eng.sleep(0.0)
+                log.append("survived")
+            except RankKilled:
+                log.append(("unwound", eng.now))
+                raise
+
+        def bystander():
+            eng.sleep(3.0)
+            log.append("bystander")
+
+        eng.spawn(victim, 0)
+        eng.spawn(bystander, 1)
+        assert eng.run() == 3.0
+        assert eng.dead_ranks == {0}
+        head = ["woken"] if wake_first else []
+        assert log == head + [("unwound", 1.0), "bystander"]
+
+    def test_no_current_rank_inside_action(self, fast):
+        # A wrong answer here would charge the action's work to
+        # whichever rank happens to be draining the queue.
+        eng = Engine(fast_wakes=fast)
+        comm = Communicator(eng, 1, NetworkModel())
+        seen = {}
+
+        def action():
+            seen["thread"] = threading.current_thread().name
+            for probe in (eng.current_rank, lambda: comm.rank,
+                          eng.make_parker):
+                with pytest.raises(SimError):
+                    probe()
+            seen["checked"] = True
+
+        def prog():
+            eng.schedule(1.0, action)
+            eng.sleep(2.0)
+            seen["rank_after"] = eng.current_rank()
+
+        eng.spawn(prog, 0)
+        eng.run()
+        assert seen["checked"] and seen["rank_after"] == 0
+        # the fast path really ran the action on the parking rank
+        assert seen["thread"] == ("simrank-0" if fast else
+                                  threading.current_thread().name)
 
 
 class TestCancelCompaction:

@@ -1,5 +1,7 @@
 """Discrete-event engine: clock, parkers, determinism, failure modes."""
 
+import os
+
 import pytest
 
 from repro.simmpi.engine import Engine, ProcessFailure, SimError
@@ -191,6 +193,27 @@ class TestFailures:
         eng = Engine()
         with pytest.raises(SimError):
             eng.sleep(1.0)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity control and at least two CPUs",
+)
+def test_run_confines_ranks_to_one_cpu_and_restores_caller():
+    before = os.sched_getaffinity(0)
+    eng = Engine()
+    seen = []
+
+    def prog():
+        seen.append(os.sched_getaffinity(0))
+        eng.sleep(1.0)
+
+    for r in range(3):
+        eng.spawn(prog, r)
+    eng.run()
+    assert len(seen) == 3 and len(seen[0]) == 1 and seen[0] <= before
+    assert seen[1] == seen[2] == seen[0]
+    assert os.sched_getaffinity(0) == before
 
 
 class TestScheduledActions:

@@ -98,6 +98,58 @@ class TestFairSharing:
         assert makespan == pytest.approx(total / 100.0 + 0.0, abs=2.5)
 
 
+class TestSimultaneousCompletions:
+    """Many transfers starting and draining at the same instants: every
+    completion time and the order ranks resume in follow the fluid
+    schedule worked out by hand (same-instant completions resume in
+    start order)."""
+
+    @staticmethod
+    def completions(capacity, sizes):
+        eng = Engine()
+        pipe = SharedBandwidth(eng, capacity, None)
+        order = []
+
+        def prog(i, nbytes):
+            def body():
+                pipe.transfer(nbytes)
+                order.append((i, eng.now))
+
+            return body
+
+        for i, nbytes in enumerate(sizes):
+            eng.spawn(prog(i, nbytes), i)
+        eng.run()
+        assert pipe.active_streams == 0
+        return order
+
+    def test_six_streams_three_waves(self):
+        # 120 B/s over 6 streams = 20 B/s each; the two 100 B jobs
+        # finish at 5 s.  Then 4 streams at 30 B/s: the 200 B jobs have
+        # 100 B left, done at 5 + 10/3.  Then 2 streams at 60 B/s: the
+        # 300 B jobs' last 100 B take 5/3 more, done at 10 s.
+        order = self.completions(120.0, [300, 100, 200, 100, 300, 200])
+        assert [i for i, _ in order] == [1, 3, 2, 5, 0, 4]
+        want = [5.0, 5.0, 25 / 3, 25 / 3, 10.0, 10.0]
+        assert [t for _, t in order] == pytest.approx(want)
+
+    def test_many_streams_same_instants(self):
+        # 48 streams at 480 B/s = 10 B/s each.  The 16 jobs of 100 B end
+        # at 10 s; the 32 left run at 15 B/s, so the 200 B jobs end at
+        # 10 + 100/15 = 50/3 s; the last 16 run at 30 B/s and the 300 B
+        # jobs end at 50/3 + 100/30 = 20 s.
+        sizes = [100 * (1 + i % 3) for i in range(48)]
+        order = self.completions(480.0, sizes)
+        ranks = [i for i, _ in order]
+        assert ranks == (
+            [i for i in range(48) if i % 3 == 0]
+            + [i for i in range(48) if i % 3 == 1]
+            + [i for i in range(48) if i % 3 == 2]
+        )
+        want = [10.0] * 16 + [50 / 3] * 16 + [20.0] * 16
+        assert [t for _, t in order] == pytest.approx(want)
+
+
 class TestValidation:
     def test_bad_capacity(self):
         eng = Engine()
