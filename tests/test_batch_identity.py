@@ -16,6 +16,7 @@ run against the fast paths only.
 
 import contextlib
 import dataclasses
+import hashlib
 import threading
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.blast.engine import (
 from repro.blast.extend import ungapped_extend, ungapped_extend_batch
 from repro.blast.fasta import SeqRecord
 from repro.blast.matrices import blosum62
+from repro.hier import ElasticConfig
 from repro.blast.output import DbStats, HitSummary, ReportWriter
 from repro.simmpi.comm import TIMEOUT, Communicator
 from repro.simmpi.engine import Engine, RankKilled, SimError
@@ -509,9 +511,10 @@ def result_fingerprint(result):
     }
 
 
-def hier_service_fingerprint(db, queries, *, fast):
-    """Elastic hier-service run (np=13, K=3 replicate groups, group g1
-    killed mid-stream) under one scheduler mode."""
+def hier_service_fingerprint(db, queries, *, fast, nprocs=13,
+                             faults="crash=group:g1@6", elastic=None):
+    """Elastic hier-service run (default: np=13, K=3 replicate groups,
+    group g1 killed mid-stream) under one scheduler mode."""
     from repro.costmodel import CostModel
     from repro.hier import HierConfig, run_hier_service
     from repro.obs import Tracer
@@ -526,9 +529,11 @@ def hier_service_fingerprint(db, queries, *, fast):
     tracer = Tracer()
     with scheduler_mode(fast):
         sres = run_hier_service(
-            13, store, cfg, poisson_arrivals(queries, rate=0.5, seed=0),
+            nprocs, store, cfg, poisson_arrivals(queries, rate=0.5, seed=0),
             hier=HierConfig(ngroups=3, mode="replicate"),
-            faults=FaultPlan.parse("crash=group:g1@6"), tracer=tracer,
+            elastic=elastic,
+            faults=FaultPlan.parse(faults) if faults else None,
+            tracer=tracer,
         )
     return {
         **result_fingerprint(sres.result),
@@ -569,6 +574,178 @@ class TestSchedulerReplayIdentity:
                                           fast=False)
         assert fast["dead_ranks"] and fast["messages_sent"] > 100
         assert fast == legacy
+
+
+def digest(fingerprint) -> str:
+    """sha256 over a fingerprint's repr (dicts keep insertion order;
+    every value is a number, string, bytes or a container of them)."""
+    return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
+
+
+def traced_fingerprint(result, store, tracer):
+    """``result_fingerprint`` plus trace events and every written file
+    (the report among them)."""
+    return {
+        **result_fingerprint(result),
+        "files": {p: store.read_all(p) for p in store.listdir()},
+        "events": tracer.as_tuples(),
+    }
+
+
+def ft_fingerprint(db, queries, program, plan, *, checkpoint_interval=0.0):
+    """Flat fault-tolerant driver at np=5 on the laboratory cost model."""
+    from repro.costmodel import CostModel
+    from repro.obs import Tracer
+    from repro.parallel import (
+        ParallelConfig, mpiformatdb, run_mpiblast, run_pioblast,
+        stage_inputs,
+    )
+    from repro.simmpi import FileStore
+
+    store = FileStore()
+    cfg = stage_inputs(
+        store, db, queries,
+        config=ParallelConfig(cost=CostModel(),
+                              checkpoint_interval=checkpoint_interval),
+        title="test nr",
+    )
+    tracer = Tracer()
+    if program == "mpiblast":
+        mpiformatdb(store, cfg.db_name, cfg.fragments_for(4))
+        res = run_mpiblast(5, store, cfg, faults=plan, tracer=tracer)
+    else:
+        res = run_pioblast(5, store, cfg, faults=plan, tracer=tracer)
+    return traced_fingerprint(res, store, tracer)
+
+
+def hier_fingerprint(db, queries, faults, mode):
+    """``run_hier`` at np=13 in three groups."""
+    from repro.costmodel import CostModel
+    from repro.hier import HierConfig, run_hier
+    from repro.obs import Tracer
+    from repro.parallel import ParallelConfig, stage_inputs
+    from repro.simmpi import FaultPlan, FileStore
+
+    store = FileStore()
+    cfg = stage_inputs(store, db, queries,
+                       config=ParallelConfig(cost=CostModel()),
+                       title="test nr")
+    tracer = Tracer()
+    hres = run_hier(13, store, cfg, HierConfig(ngroups=3, mode=mode),
+                    faults=FaultPlan.parse(faults), tracer=tracer)
+    return traced_fingerprint(hres.result, store, tracer)
+
+
+def _drops(req, reply):
+    from repro.simmpi.faults import FaultPlan, MessageDropFault
+
+    return FaultPlan(seed=3, events=(
+        MessageDropFault(tag=req, skip=3, count=2),
+        MessageDropFault(tag=reply, skip=1, count=2),
+    ))
+
+
+def _plan(spec):
+    from repro.simmpi.faults import FaultPlan
+
+    return FaultPlan.parse(spec)
+
+
+def _straggler():
+    from repro.simmpi.faults import FaultPlan, StragglerFault
+
+    return FaultPlan(seed=6, events=(
+        StragglerFault(rank=1, factor=0.006, start=0.0),
+    ))
+
+
+#: (program, plan factory, checkpoint interval) per flat FT scenario.
+FT_SCENARIOS = {
+    "pio-worker-kill": ("pioblast", lambda: _plan("seed=11,kill=3@0.02"), 0.0),
+    "pio-master-kill-ckpt": ("pioblast", lambda: _plan("seed=3,kill=0@0.12"),
+                             0.04),
+    "pio-request-drop": ("pioblast", lambda: _drops(40, 41), 0.0),
+    "pio-straggler-revival": ("pioblast", _straggler, 0.0),
+    "mpi-worker-kill": ("mpiblast", lambda: _plan("seed=11,kill=3@0.02"), 0.0),
+    "mpi-master-kill-ckpt": ("mpiblast", lambda: _plan("seed=3,kill=0@0.1"),
+                             0.02),
+    "mpi-request-drop": ("mpiblast", lambda: _drops(16, 17), 0.0),
+    "mpi-straggler-revival": ("mpiblast", _straggler, 0.0),
+}
+
+HIER_SCENARIOS = {
+    "hier-submaster-kill": ("crash=submaster:g1@0.2", "replicate"),
+    "hier-shard-coordinator-kill": ("crash=coordinator@0.5", "shard"),
+}
+
+SERVICE_SCENARIOS = {
+    "service-group-kill": dict(faults="crash=group:g1@6"),
+    "service-coordinator-kill": dict(faults="crash=coordinator@6"),
+    "service-join-drain": dict(
+        nprocs=17, faults=None,
+        elastic=ElasticConfig(joins=((4, 5.0),), drains=((0, 6.0),)),
+    ),
+}
+
+#: Digests of the scenarios above, captured before the supervision
+#: protocol moved into ``repro.parallel.supervise``.  The port must not
+#: move a byte, a virtual instant or an event.
+GOLDEN = {
+    "mpi-master-kill-ckpt":
+        "bda63ece6adb93e27c580646d3d82b2244f9eeaf01f5cb98e6c82c224540e6ba",
+    "mpi-request-drop":
+        "1291f9cec8b693aeb33755805cdc62cd9c74a9e144f1da46da2545c7d6cb481c",
+    "mpi-straggler-revival":
+        "ed4f67754b098fdc8731d5fd7a53e0212676f9846a9aca608a488894ac078333",
+    "mpi-worker-kill":
+        "2d9e5c6db104068bb59b3b46fce314fa4f57498548413aa98cc5a2a17a8671df",
+    "pio-master-kill-ckpt":
+        "a97feb5a018d1472c7dd24bc378a4937c1a1a65edf6efec2d5bd5bf7f2d57a98",
+    "pio-request-drop":
+        "254966dd2d75ac0c5c6ec503be058a617888e2cc451c895af549b1c3e627739b",
+    "pio-straggler-revival":
+        "1d30d927035fe515871fa790fabce58f56e30ae910df2361c0391246a7035c60",
+    "pio-worker-kill":
+        "a30f4b264cbe2de65563302d949895cb44d4a3dd15c5be331cc502c743bff3ec",
+    "hier-shard-coordinator-kill":
+        "c77485730f5306336bc91465d401dc390f5e953ed72528ff4a1b8718864aa444",
+    "hier-submaster-kill":
+        "57c699c555429de8206ca409b090df3c5e52a1185b8e1d856e1e481bc00e0828",
+    "service-coordinator-kill":
+        "91361137f1ce1c411b1720c56d6596b8f955218886f7ac3e8ac9ae335535d762",
+    "service-group-kill":
+        "63f7338e9fc5c2e01d02f7dbdef19601821f67017aca62f0adfdde1fa2971788",
+    "service-join-drain":
+        "e8a4d45a5bca89c736ea8f6671d6288c3d9010e779b3cdec4509d9061b799945",
+}
+
+
+class TestSupervisionGoldenDigests:
+    """Replay digests of every fault-tolerant role under its faults.
+
+    Each digest covers the run's ``result_fingerprint`` (makespan,
+    phases, message and FS counters, dead ranks, promotions, fault
+    ledger, metrics), the trace events and every written file.  They
+    are stable across ``PYTHONHASHSEED`` values."""
+
+    @pytest.mark.parametrize("name", sorted(FT_SCENARIOS))
+    def test_flat_ft(self, name, small_db, small_queries):
+        program, plan, interval = FT_SCENARIOS[name]
+        fp = ft_fingerprint(small_db, small_queries, program, plan(),
+                            checkpoint_interval=interval)
+        assert digest(fp) == GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(HIER_SCENARIOS))
+    def test_hier(self, name, small_db, small_queries):
+        faults, mode = HIER_SCENARIOS[name]
+        fp = hier_fingerprint(small_db, small_queries, faults, mode)
+        assert digest(fp) == GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(SERVICE_SCENARIOS))
+    def test_hier_service(self, name, small_db, small_queries):
+        fp = hier_service_fingerprint(small_db, small_queries, fast=True,
+                                      **SERVICE_SCENARIOS[name])
+        assert digest(fp) == GOLDEN[name]
 
 
 class TestSchedulerFastPathUnits:
