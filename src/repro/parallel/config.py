@@ -42,7 +42,7 @@ class FTParams:
     io_attempts: int = 6
     #: how long a worker tolerates total silence from the current master
     #: before advancing to the next failover candidate (master death
-    #: detection; see repro.parallel.checkpoint.FailoverTracker).  Must
+    #: detection; see repro.parallel.supervise.FailoverTracker).  Must
     #: exceed the master's longest healthy silent window — the masters
     #: ping workers during long output passes to keep that window small.
     failover_silence: float = 2.0

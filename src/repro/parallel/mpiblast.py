@@ -53,14 +53,13 @@ from repro.parallel.common import (
     search_fragment_timed,
     writer_for,
 )
-from repro.parallel.checkpoint import (
-    PROMOTE,
-    CheckpointStore,
-    FailoverTracker,
-)
+from repro.parallel.checkpoint import CheckpointStore
 from repro.parallel.config import ParallelConfig
 from repro.parallel.fragments import fragment_paths
 from repro.parallel.results import AlignmentMeta, meta_from_alignment, select_metas
+from repro.parallel.supervise import (
+    Channel, Client, Liveness, Orphaned, Promoted, Server, announce,
+)
 from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult, Status
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
 from repro.simmpi.faults import FaultPlan, retry_io
@@ -72,11 +71,11 @@ TAG_RESULT = 12
 TAG_FETCH = 13
 TAG_FETCHRESP = 14
 TAG_DONE = 15
-# Fault-tolerant RPC channel (same shape as pioBLAST's; see FAULTS.md).
+# Fault-tolerant RPC channel (see repro.parallel.supervise / FAULTS.md).
 TAG_FT_REQ = 16
 TAG_FT_REPLY = 17
-# Master heartbeat / new-master announcement (see repro.parallel.checkpoint).
 TAG_FT_PING = 18
+FT_CHANNEL = Channel(TAG_FT_REQ, TAG_FT_REPLY, TAG_FT_PING)
 
 NO_MORE_WORK = -1
 
@@ -304,11 +303,8 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
 # ---------------------------------------------------------------------------
 # Fault-tolerant variant.
 #
-# Same pull-RPC shape as pioBLAST's FT driver (see pioblast.py and
-# FAULTS.md): workers send ``(rank, seq, kind, data)`` on TAG_FT_REQ and
-# wait (with timeout + resend) for ``(seq, body)`` on TAG_FT_REPLY; the
-# master caches its last reply per worker so every RPC is idempotent
-# under drops.  The crucial difference is the *output* path: mpiBLAST's
+# The pull-RPC protocol of repro.parallel.supervise on FT_CHANNEL.  The
+# crucial difference from pioBLAST's FT driver is the *output* path: mpiBLAST's
 # alignment data lives only in the owning worker's memory, under that
 # worker's private local ids.  ``owner_rank`` therefore really is a rank
 # here (unlike FT pioBLAST, where it carries a fragment id), a fetch that
@@ -329,7 +325,7 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
 # from *inside* their RPC receive loop, so a worker blocked waiting for
 # a slow master reply still serves the master's output phase.
 #
-# Master failover (see repro.parallel.checkpoint): the master heartbeats
+# Master failover (see repro.parallel.supervise): the master heartbeats
 # on TAG_FT_PING (especially through the long serialized output pass,
 # which would otherwise look like death to the workers), checkpoints
 # ``frag_metas`` crash-consistently, and on master silence the lowest
@@ -370,9 +366,7 @@ def _ft_master(
         # Announce before doing anything slow (cold setup, checkpoint
         # restore): the announcement resets every survivor's silence
         # clock, heading off a second spurious succession.
-        for w in range(ctx.size):
-            if w != me:
-                comm.isend(me, dest=w, tag=TAG_FT_PING)
+        announce(ctx, TAG_FT_PING, range(ctx.size))
 
     def rread(path: str, charge: int) -> bytes:
         return retry_io(
@@ -410,16 +404,15 @@ def _ft_master(
     # ---- scheduler state ------------------------------------------------
     # A promoted master starts every other rank as presumed-alive with a
     # fresh liveness window; the death sweep then re-detects the dead.
-    alive: set[int] = {r for r in range(1, ctx.size) if r != me}
-    dead: set[int] = set()
-    last_seen: dict[int, float] = {w: sim.now for w in alive}
+    live = Liveness(
+        sim, ft.search_timeout, alive=(r for r in range(1, ctx.size) if r != me)
+    )
     assigned: dict[int, int] = {}        # worker -> fid being (re)searched
     assigner = GreedyAssigner(nfrag)     # first-search queue
     research: list[int] = []             # fids whose owner died; search again
     # fid -> (owning worker, metas per query).  Dropped when the owner
     # dies: the metas' local ids only mean something to that owner.
     frag_metas: dict[int, tuple[int, list[list[AlignmentMeta]]]] = {}
-    reply_cache: dict[int, tuple[int, Any]] = {}
     state = "search"
     fetch_seq = 0
 
@@ -440,24 +433,11 @@ def _ft_master(
                 assigner.mark_completed(fid)
 
     # ---- helpers --------------------------------------------------------
-    last_ping = sim.now - ft.master_tick
-
-    def ping_workers(force: bool = False) -> None:
-        """Heartbeat (and, when promoted, new-master announcement).
-
-        Called throughout the serialized output pass too: that pass can
-        outlast ``failover_silence``, and a silent master mid-output
-        must not trigger a spurious succession.  Pings go to *every*
-        other rank, not just presumed-alive ones: an isend to a dead
-        rank is a buffered no-op, and a falsely-suspected ex-master
-        that is still running must hear its successor to abdicate."""
-        nonlocal last_ping
-        if not force and sim.now - last_ping < ft.master_tick:
-            return
-        last_ping = sim.now
-        for w in range(ctx.size):
-            if w != me:
-                comm.isend(me, dest=w, tag=TAG_FT_PING)
+    # Pings go to *every* other rank, not just presumed-alive ones: an
+    # isend to a dead rank is a buffered no-op, and a falsely-suspected
+    # ex-master that is still running must hear its successor to
+    # abdicate.
+    srv = Server(ctx, ft, FT_CHANNEL, range(ctx.size), range(ctx.size))
 
     def ckpt_state() -> dict:
         return {
@@ -473,10 +453,8 @@ def _ft_master(
             report.record(sim.now, "recover:research", fid)
 
     def declare_dead(w: int, why: str) -> None:
-        if w in dead:
+        if not live.declare_dead(w):
             return
-        dead.add(w)
-        alive.discard(w)
         report.record(sim.now, "detect:worker-dead", w, why)
         assigner.drop_worker(w)
         fid = assigned.pop(w, None)
@@ -492,18 +470,11 @@ def _ft_master(
             del frag_metas[f]
             queue_research(f)
 
-    def revive(w: int) -> None:
-        dead.discard(w)
-        alive.add(w)
-        report.record(sim.now, "recover:revive", w)
-
     def check_deaths() -> None:
-        now = sim.now
-        for w in sorted(alive):
-            if now - last_seen[w] > ft.search_timeout:
-                declare_dead(
-                    w, "search-timeout" if w in assigned else "silent"
-                )
+        for w, why in live.sweep(budget=lambda w: (
+            ft.search_timeout, "search-timeout" if w in assigned else "silent"
+        )):
+            declare_dead(w, why)
 
     def fetch(owner: int, qi: int, local_id: int) -> Alignment | None:
         """One serialized fetch, retried; None means the owner is gone."""
@@ -521,7 +492,7 @@ def _ft_master(
             # surviving workers.
             deadline = sim.now + ft.write_timeout
             while True:
-                ping_workers()
+                srv.ping()
                 remaining = deadline - sim.now
                 if remaining <= 0:
                     break
@@ -556,7 +527,7 @@ def _ft_master(
             ctx.fs.delete(out)
 
             def rwrite(offset: int, buf: bytes) -> None:
-                ping_workers()
+                srv.ping()
                 retry_io(
                     sim,
                     lambda: ctx.fs.write(
@@ -580,7 +551,7 @@ def _ft_master(
                 rwrite(offset, header)
                 offset += len(header)
                 for m in selected:
-                    ping_workers()
+                    srv.ping()
                     ctx.compute(cost.fetch_overhead_seconds())
                     al = fetch(m.owner_rank, qi, m.local_id)
                     if al is None:
@@ -608,9 +579,8 @@ def _ft_master(
         # The serialized output pass can outlast the silence thresholds;
         # give surviving workers a fresh liveness window so they are not
         # declared dead for politely waiting out our fetch loop.
-        now = sim.now
-        for w in alive:
-            last_seen[w] = now
+        for w in live.alive:
+            live.heard(w)
         if ok:
             state = "done"
 
@@ -653,16 +623,12 @@ def _ft_master(
     if promoted:
         # Announce the new master immediately: surviving workers adopt
         # it on the first ping instead of waiting out failover_silence.
-        ping_workers(force=True)
+        srv.ping(force=True)
     done_since: float | None = None
     while True:
-        st = Status()
-        msg = comm.recv_with_timeout(
-            source=ANY_SOURCE, tag=ANY_TAG, timeout=ft.master_tick, status=st
-        )
-        now = sim.now
+        msg, st = srv.poll()
         if msg is not TIMEOUT and st.tag != TAG_FT_REQ:
-            if st.tag == TAG_FT_PING and msg > me:
+            if st.tag == TAG_FT_PING and srv.outranked_by(msg):
                 # A higher rank announced itself as master: the fleet
                 # decided we were dead and moved on.  Step down without
                 # touching the output file again — the successor rewrites
@@ -673,22 +639,19 @@ def _ft_master(
             # our pings) or a stale TAG_FETCHRESP from a timed-out
             # fetch attempt; drop it.
             continue
-        if msg is not TIMEOUT:
+        if msg is not TIMEOUT and live.heard(msg[0]):
             # Refresh the sender's liveness *before* the death sweep so
             # a slow worker is not declared dead by its own message.
-            w, seq, kind, data = msg
-            if w in dead:
-                revive(w)
-            last_seen[w] = now
+            report.record(sim.now, "recover:revive", msg[0])
         # Death checks run every iteration: with several healthy workers
         # polling, the receive above may never time out, and a dead
         # worker must still be detected promptly.
         check_deaths()
-        ping_workers()
+        srv.ping()
         if state == "search":
             ckpt.maybe_save(ckpt_state)
         if state == "search" and (
-            len(frag_metas) == nfrag or (msg is TIMEOUT and not alive)
+            len(frag_metas) == nfrag or (msg is TIMEOUT and not live.alive)
         ):
             # Complete — or degraded with nobody left to search the
             # missing fragments.  Either way, attempt the output pass.
@@ -701,13 +664,7 @@ def _ft_master(
                     break
             continue
         done_since = None
-        cached = reply_cache.get(w)
-        if cached is not None and cached[0] == seq:
-            comm.isend(cached, dest=w, tag=TAG_FT_REPLY)
-            continue
-        body = handle(w, kind, data)
-        reply_cache[w] = (seq, body)
-        comm.isend((seq, body), dest=w, tag=TAG_FT_REPLY)
+        srv.answer(msg, handle)
 
     # Final accounting: fragments the report never saw results for.
     missing = sorted(set(range(nfrag)) - set(frag_metas))
@@ -791,8 +748,6 @@ def _ft_copy_and_search(
 
 def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
     comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
-    seq = 0
-    fo = FailoverTracker(ctx, ft)
     setup: Any = None
     # Local result cache, exactly as in the baseline: alignment data
     # never leaves this worker until the master fetches it.
@@ -812,118 +767,48 @@ def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
             nbytes=cost.wire_bytes(al.payload_nbytes()),
         )
 
-    def rpc(kind: str, data: Any = None) -> Any:
-        """Idempotent RPC to the *believed* master.
-
-        Returns the reply body; :data:`PROMOTE` when master-succession
-        reached this rank; None when every attempt was exhausted
-        (orphaned).  The master's serialized output pass interleaves
-        TAG_FETCH requests with our polling, so the receive loop answers
-        fetches in-line (they do not consume retry attempts).
-        """
-        nonlocal seq
-        seq += 1
-        for _attempt in range(ft.req_max_attempts):
-            if fo.promoted:
-                return PROMOTE
-            comm.isend(
-                (ctx.rank, seq, kind, data), dest=fo.master, tag=TAG_FT_REQ
-            )
-            sent = ctx.engine.now
-            while True:
-                # Absolute resend deadline: heartbeats, fetches and peer
-                # traffic must not keep extending the receive, or a
-                # request dropped by a not-yet-promoted successor is
-                # never re-issued while its pings keep arriving.
-                remaining = ft.req_timeout - (ctx.engine.now - sent)
-                if remaining <= 0:
-                    fo.tick()
-                    break  # resend (possibly to a new candidate)
-                st = Status()
-                reply = comm.recv_with_timeout(
-                    source=ANY_SOURCE, tag=ANY_TAG,
-                    timeout=remaining, status=st,
+    # The master's serialized output pass interleaves TAG_FETCH requests
+    # with our polling, so the client answers fetches while it waits.
+    client = Client(
+        ctx, ft, FT_CHANNEL, range(ctx.size), side=(TAG_FETCH, serve_fetch)
+    )
+    try:
+        setup = client.call("hello")[1]
+        queries, ranges, info = setup
+        ctx.compute(cost.init_seconds())
+        engine = BlastSearch(cfg.search)
+        while True:
+            kind, data = client.call("work")
+            if kind == "wait":
+                ctx.engine.sleep(data)
+            elif kind == "done":
+                return "done"
+            elif kind == "frag":
+                frag = data
+                per_query = _ft_copy_and_search(
+                    ctx, cfg, engine, queries, ranges, info, frag
                 )
-                if reply is TIMEOUT:
-                    fo.tick()
-                    break  # resend (possibly to a new candidate)
-                if st.tag == TAG_FETCH:
-                    # Only a master fetches; a fetch from a higher rank
-                    # than our believed master is an implicit
-                    # announcement (its ping may still be queued).
-                    serve_fetch(reply, st.source)
-                    rehomed = fo.announce(st.source)
-                    if rehomed:
-                        break  # re-home this request to the new master
-                    continue
-                if st.tag == TAG_FT_PING:
-                    if fo.announce(reply):
-                        break  # re-home this request to the new master
-                    continue
-                if st.tag != TAG_FT_REPLY:
-                    # A TAG_FT_REQ from a peer whose succession already
-                    # reached us: drop it — its idempotent retry will
-                    # find us again once we have actually promoted.
-                    continue
-                rseq, body = reply
-                if st.source == fo.master:
-                    fo.heard()
-                if rseq == seq:
-                    return body
-                # A stale duplicate of an earlier reply; drain and retry.
-        return None
-
-    def promote() -> str:
-        """Become the master: restore + serve (see _ft_master)."""
-        _ft_master(
-            ctx, cfg, setup=setup, held_cache=cache, held_metas=my_metas
-        )
-        return "promoted-master"
-
-    body = rpc("hello")
-    if body is PROMOTE:
-        return promote()
-    if body is None:
+                metas_per_query: list[list[AlignmentMeta]] = []
+                for qi, als in enumerate(per_query):
+                    metas = []
+                    for al in als:
+                        cache[(qi, next_local_id)] = al
+                        metas.append(
+                            meta_from_alignment(al, ctx.rank, next_local_id, 0)
+                        )
+                        next_local_id += 1
+                    metas_per_query.append(metas)
+                my_metas[frag] = metas_per_query
+                client.call("result", (frag, metas_per_query))
+            else:  # pragma: no cover - protocol error
+                raise RuntimeError(f"unknown FT reply kind {kind!r}")
+    except Orphaned:
         return "orphaned"
-    setup = body[1]
-    queries, ranges, info = setup
-    ctx.compute(cost.init_seconds())
-    engine = BlastSearch(cfg.search)
-
-    while True:
-        body = rpc("work")
-        if body is PROMOTE:
-            return promote()
-        if body is None:
-            return "orphaned"
-        kind, data = body
-        if kind == "wait":
-            ctx.engine.sleep(data)
-        elif kind == "done":
-            return "done"
-        elif kind == "frag":
-            frag = data
-            per_query = _ft_copy_and_search(
-                ctx, cfg, engine, queries, ranges, info, frag
-            )
-            metas_per_query: list[list[AlignmentMeta]] = []
-            for qi, als in enumerate(per_query):
-                metas = []
-                for al in als:
-                    cache[(qi, next_local_id)] = al
-                    metas.append(
-                        meta_from_alignment(al, ctx.rank, next_local_id, 0)
-                    )
-                    next_local_id += 1
-                metas_per_query.append(metas)
-            my_metas[frag] = metas_per_query
-            body = rpc("result", (frag, metas_per_query))
-            if body is PROMOTE:
-                return promote()
-            if body is None:
-                return "orphaned"
-        else:  # pragma: no cover - protocol error
-            raise RuntimeError(f"unknown FT reply kind {kind!r}")
+    except Promoted:
+        pass
+    # Become the master: restore + serve (see _ft_master).
+    _ft_master(ctx, cfg, setup=setup, held_cache=cache, held_metas=my_metas)
+    return "promoted-master"
 
 
 def _program(ctx: ProcContext) -> Any:

@@ -60,16 +60,15 @@ from repro.parallel.common import (
     search_fragment_timed,
     writer_for,
 )
-from repro.parallel.checkpoint import (
-    PROMOTE,
-    CheckpointStore,
-    FailoverTracker,
-)
+from repro.parallel.checkpoint import CheckpointStore
 from repro.parallel.config import ParallelConfig
 from repro.blast.formatdb import DatabaseVolume
 from repro.parallel.fragments import VolumePiece
 from repro.parallel.pruning import prune_metas, score_cutlines
 from repro.parallel.results import AlignmentMeta, meta_from_alignment, select_metas
+from repro.parallel.supervise import (
+    Channel, Client, Liveness, Orphaned, Promoted, Server, announce,
+)
 from repro.parallel.warmdb import (
     check_fingerprint,
     fingerprint_database,
@@ -84,9 +83,8 @@ from repro.simmpi import (
     PlatformSpec,
     ProcContext,
     RunResult,
-    Status,
 )
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
+from repro.simmpi.comm import TIMEOUT
 from repro.simmpi.faults import FaultPlan, retry_io
 from repro.simmpi.launcher import run
 
@@ -96,10 +94,11 @@ TAG_FETCHRESP = 32
 TAG_WQ_REQ = 33
 TAG_WQ_ASSIGN = 34
 
-# Fault-tolerant pull-RPC protocol (see module docstring / FAULTS.md).
+# Fault-tolerant pull-RPC protocol (see repro.parallel.supervise).
 TAG_FT_REQ = 40
 TAG_FT_REPLY = 41
 TAG_FT_PING = 42
+FT_CHANNEL = Channel(TAG_FT_REQ, TAG_FT_REPLY, TAG_FT_PING)
 
 NO_MORE_WORK = -1
 
@@ -379,11 +378,8 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
 # Fault-tolerant driver (pull-RPC scheduling; see module docstring)
 # ======================================================================
 #
-# Protocol.  Workers send ``(rank, seq, kind, data)`` on TAG_FT_REQ and
-# wait (with timeout + resend) for ``(seq, body)`` on TAG_FT_REPLY.  The
-# master caches its last reply per worker: a request with an
-# already-answered ``seq`` just gets the cached reply again, which makes
-# every RPC idempotent under drops of either direction.
+# Protocol: the idempotent pull-RPC of repro.parallel.supervise on
+# FT_CHANNEL.
 #
 # Request kinds           Reply bodies
 #   ("hello",  None)        ("setup",  (queries, info, frags, indexes))
@@ -399,7 +395,7 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
 # deterministic), so the master maps fragment → current holder at output
 # time and can re-home writes when a holder dies.
 #
-# Master failover (see repro.parallel.checkpoint).  The master — rank 0
+# Master failover (see repro.parallel.supervise).  The master — rank 0
 # initially — heartbeats on TAG_FT_PING during long silent passes and
 # checkpoints its scheduler state crash-consistently.  Workers route
 # RPCs to the rank they currently believe is master; silence longer
@@ -455,7 +451,7 @@ def _ft_master(
     master writes those blocks in-line at output time, so they are
     never re-searched.
     """
-    comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
+    cost, ft = cfg.cost, cfg.ft
     sim = ctx.engine
     report = ctx.fault_report
     me = ctx.rank
@@ -470,9 +466,7 @@ def _ft_master(
         # Announce before doing anything slow (cold setup, checkpoint
         # restore): the announcement resets every survivor's silence
         # clock, heading off a second spurious succession.
-        for w in range(ctx.size):
-            if w != me:
-                comm.isend(me, dest=w, tag=TAG_FT_PING)
+        announce(ctx, TAG_FT_PING, range(ctx.size))
     if setup is None:
         ctx.compute(cost.init_seconds())
         setup = _ft_setup(ctx, cfg)
@@ -486,18 +480,17 @@ def _ft_master(
     # ---- scheduler state ------------------------------------------------
     # A promoted master starts every other rank as presumed-alive with a
     # fresh liveness window: the standard death sweep below then re-runs
-    # against reality and re-detects the genuinely dead ones.
-    alive: set[int] = {r for r in range(1, ctx.size) if r != me}
-    # The master's *belief*: not every declared-dead worker was killed
+    # against reality and re-detects the genuinely dead ones.  Death is
+    # the master's *belief*: not every declared-dead worker was killed
     # by the plan (a straggler can be declared dead and later revived).
-    dead: set[int] = set()
-    last_seen: dict[int, float] = {w: sim.now for w in alive}
+    live = Liveness(
+        sim, ft.search_timeout, alive=(r for r in range(1, ctx.size) if r != me)
+    )
     assigned: dict[int, int] = {}        # worker -> fid being (re)searched
     assigner = GreedyAssigner(nfrag)     # first-search queue
     research: list[int] = []             # completed fids needing re-search
     frag_results: dict[int, list[list[AlignmentMeta]]] = {}
     holders: dict[int, set[int]] = {f: set() for f in range(nfrag)}
-    reply_cache: dict[int, tuple[int, Any]] = {}
     state = "search"
     # output-phase state
     out_round = 0
@@ -520,26 +513,15 @@ def _ft_master(
                 assigner.mark_completed(fid)
 
     # ---- helpers --------------------------------------------------------
-    last_ping = sim.now - ft.master_tick
-
-    def ping_workers(force: bool = False) -> None:
-        """Heartbeat (and, for a promoted master, announcement): keeps
-        workers from starting failover during long silent passes.
-        Pings go to *every* other rank, not just presumed-alive ones:
-        an isend to a dead rank is a buffered no-op, and a
-        falsely-suspected ex-master that is still running must hear
-        its successor to abdicate."""
-        nonlocal last_ping
-        if not force and sim.now - last_ping < ft.master_tick:
-            return
-        last_ping = sim.now
-        for w in range(ctx.size):
-            if w != me:
-                comm.isend(me, dest=w, tag=TAG_FT_PING)
+    # Pings go to *every* other rank, not just presumed-alive ones: an
+    # isend to a dead rank is a buffered no-op, and a falsely-suspected
+    # ex-master that is still running must hear its successor to
+    # abdicate.
+    srv = Server(ctx, ft, FT_CHANNEL, range(ctx.size), range(ctx.size))
 
     def writable_now() -> set[int]:
         """Fragments an output round can cover right now."""
-        if alive:
+        if live.alive:
             return set(frag_results)  # survivors can re-search the rest
         return {f for f in frag_results if f in my_blocks}
 
@@ -568,7 +550,7 @@ def _ft_master(
         pieces.append((0, pre))
         off = len(pre)
         for qi, qrec in enumerate(queries):
-            ping_workers()
+            srv.ping()
             selected = select_metas(
                 ctx, cost, per_query[qi], cfg.search.max_alignments
             )
@@ -599,7 +581,7 @@ def _ft_master(
         ctx.fs.delete(out)
         with ctx.phase("output"):
             for off, buf in pieces:
-                ping_workers()
+                srv.ping()
                 retry_io(
                     sim,
                     lambda off=off, buf=buf: ctx.fs.write(
@@ -615,7 +597,7 @@ def _ft_master(
                 if fid not in my_blocks or not current_sels[fid]:
                     continue
                 for lid, off in current_sels[fid]:
-                    ping_workers()
+                    srv.ping()
                     blk = my_blocks[fid][lid]
                     retry_io(
                         sim,
@@ -645,15 +627,13 @@ def _ft_master(
         if state != "output":
             return
         for fid in sorted(pending):
-            if fid in dispatched or (holders[fid] & alive):
+            if fid in dispatched or (holders[fid] & live.alive):
                 continue
             queue_research(fid)
 
     def declare_dead(w: int, why: str) -> None:
-        if w in dead:
+        if not live.declare_dead(w):
             return
-        dead.add(w)
-        alive.discard(w)
         report.record(sim.now, "detect:worker-dead", w, why)
         assigner.drop_worker(w)
         for fid in holders:
@@ -671,22 +651,14 @@ def _ft_master(
                 report.record(sim.now, "recover:rehome-write", dfid, w)
         ensure_progress()
 
-    def revive(w: int) -> None:
-        dead.discard(w)
-        alive.add(w)
-        report.record(sim.now, "recover:revive", w)
-
     def check_deaths() -> None:
-        now = sim.now
         writing = {dw for dw, _t in dispatched.values()}
-        for w in sorted(alive):
-            quiet = now - last_seen[w]
-            if w in writing and quiet > ft.write_timeout:
-                declare_dead(w, "write-timeout")
-            elif quiet > ft.search_timeout:
-                declare_dead(
-                    w, "search-timeout" if w in assigned else "silent"
-                )
+        for w, why in live.sweep(budget=lambda w: (
+            (ft.write_timeout, "write-timeout") if w in writing
+            else (ft.search_timeout,
+                  "search-timeout" if w in assigned else "silent")
+        )):
+            declare_dead(w, why)
 
     def work_reply(w: int):
         nonlocal state
@@ -763,16 +735,13 @@ def _ft_master(
     if promoted:
         # Announce the new master immediately: surviving workers adopt
         # it on the first ping instead of waiting out failover_silence.
-        ping_workers(force=True)
+        srv.ping(force=True)
     done_since: float | None = None
     while True:
-        st = Status()
-        msg = comm.recv_with_timeout(
-            source=ANY_SOURCE, tag=ANY_TAG, timeout=ft.master_tick, status=st
-        )
+        msg, st = srv.poll()
         now = sim.now
         if msg is not TIMEOUT and st.tag != TAG_FT_REQ:
-            if st.tag == TAG_FT_PING and msg > me:
+            if st.tag == TAG_FT_PING and srv.outranked_by(msg):
                 # A higher rank announced itself as master: the fleet
                 # decided we were dead and moved on.  Step down without
                 # touching the output file again — the successor rewrites
@@ -782,27 +751,24 @@ def _ft_master(
             # Stale ping from a lower ex-master (it will abdicate on
             # our pings); drop it.
             continue
-        if msg is not TIMEOUT:
+        if msg is not TIMEOUT and live.heard(msg[0]):
             # Refresh the sender's liveness *before* the death sweep so
             # a slow worker is not declared dead by its own message.
-            w, seq, kind, data = msg
-            if w in dead:
-                revive(w)
-                ensure_progress()
-            last_seen[w] = now
+            report.record(sim.now, "recover:revive", msg[0])
+            ensure_progress()
         # Death checks run every iteration: with several healthy workers
         # polling, the receive above may never time out, and a dead
         # worker must still be detected promptly.
         check_deaths()
-        ping_workers()
+        srv.ping()
         ckpt.maybe_save(ckpt_state)
         if msg is TIMEOUT:
-            if state == "search" and not alive:
+            if state == "search" and not live.alive:
                 # Degraded: nobody left to search the missing fragments
                 # (a promoted master can still write its own blocks).
                 state = "output"
                 start_output_round(writable_now())
-            elif state == "output" and not alive and pending:
+            elif state == "output" and not live.alive and pending:
                 # Everyone died mid-output: shrink to what the master
                 # can write alone.
                 start_output_round(writable_now())
@@ -813,13 +779,7 @@ def _ft_master(
                     break
             continue
         done_since = None
-        cached = reply_cache.get(w)
-        if cached is not None and cached[0] == seq:
-            comm.isend(cached, dest=w, tag=TAG_FT_REPLY)
-            continue
-        body = handle(w, kind, data)
-        reply_cache[w] = (seq, body)
-        comm.isend((seq, body), dest=w, tag=TAG_FT_REPLY)
+        srv.answer(msg, handle)
 
     # Final accounting: fragments the report never saw results for.
     missing = sorted(set(range(nfrag)) - set(frag_results))
@@ -862,123 +822,55 @@ def _ft_search_fragment(
 def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
     comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
     report = ctx.fault_report
-    seq = 0
-    fo = FailoverTracker(ctx, ft)
+    client = Client(ctx, ft, FT_CHANNEL, range(ctx.size))
     setup: Any = None
     blocks: dict[int, list[bytes]] = {}
     my_metas: dict[int, list[list[AlignmentMeta]]] = {}
-
-    def rpc(kind: str, data: Any = None) -> Any:
-        """Idempotent RPC to the *believed* master.
-
-        Returns the reply body; :data:`PROMOTE` when master-succession
-        reached this rank (the caller must become the master); None when
-        every attempt was exhausted (orphaned).
-        """
-        nonlocal seq
-        seq += 1
-        for _attempt in range(ft.req_max_attempts):
-            if fo.promoted:
-                return PROMOTE
-            comm.isend(
-                (ctx.rank, seq, kind, data), dest=fo.master, tag=TAG_FT_REQ
-            )
-            sent = ctx.engine.now
-            while True:
-                # Absolute resend deadline: heartbeats and peer traffic
-                # must not keep extending the receive, or a request
-                # dropped by a not-yet-promoted successor is never
-                # re-issued while its pings keep arriving.
-                remaining = ft.req_timeout - (ctx.engine.now - sent)
-                if remaining <= 0:
-                    fo.tick()
-                    break  # resend (possibly to a new candidate)
-                st = Status()
-                reply = comm.recv_with_timeout(
-                    source=ANY_SOURCE, tag=ANY_TAG,
-                    timeout=remaining, status=st,
+    try:
+        setup = client.call("hello")[1]
+        queries, info, frags, index_bytes = setup
+        ctx.compute(cost.init_seconds())
+        indexes = {
+            base: parse_index(data) for base, data in index_bytes.items()
+        }
+        engine = BlastSearch(cfg.search)
+        writer = writer_for(engine, info)
+        while True:
+            kind, data = client.call("work")
+            if kind == "wait":
+                ctx.engine.sleep(data)
+            elif kind == "done":
+                return "done"
+            elif kind == "frag":
+                fid = data
+                metas = _ft_search_fragment(
+                    ctx, cfg, engine, writer, queries, info, indexes,
+                    frags[fid], fid, blocks,
                 )
-                if reply is TIMEOUT:
-                    fo.tick()
-                    break  # resend (possibly to a new candidate)
-                if st.tag == TAG_FT_PING:
-                    if fo.announce(reply):
-                        break  # re-home this request to the new master
-                    continue
-                if st.tag != TAG_FT_REPLY:
-                    # A TAG_FT_REQ from a peer whose succession already
-                    # reached us: drop it — its idempotent retry will
-                    # find us again once we have actually promoted.
-                    continue
-                rseq, body = reply
-                if st.source == fo.master:
-                    fo.heard()
-                if rseq == seq:
-                    return body
-                # A stale duplicate of an earlier reply; drain and retry.
-        return None
-
-    def promote() -> str:
-        """Become the master: restore + serve (see _ft_master)."""
-        _ft_master(
-            ctx, cfg, setup=setup, held_blocks=blocks, held_metas=my_metas
-        )
-        return "promoted-master"
-
-    body = rpc("hello")
-    if body is PROMOTE:
-        return promote()
-    if body is None:
+                my_metas[fid] = metas
+                client.call("result", (fid, metas))
+            elif kind == "select":
+                round_no, sels = data
+                with ctx.phase("output"):
+                    f = MPIFile(comm, ctx.fs, cfg.output_path)
+                    for fid, lid, off in sels:
+                        blk = blocks[fid][lid]
+                        f.write_at_reliable(
+                            off, blk,
+                            charge_bytes=cost.wire_bytes(len(blk)),
+                            attempts=ft.io_attempts, report=report,
+                        )
+                fids = tuple(sorted({fid for fid, _lid, _off in sels}))
+                client.call("wrote", (round_no, fids))
+            else:  # pragma: no cover - protocol error
+                raise RuntimeError(f"unknown FT reply kind {kind!r}")
+    except Orphaned:
         return "orphaned"
-    setup = body[1]
-    queries, info, frags, index_bytes = setup
-    ctx.compute(cost.init_seconds())
-    indexes = {base: parse_index(data) for base, data in index_bytes.items()}
-    engine = BlastSearch(cfg.search)
-    writer = writer_for(engine, info)
-
-    while True:
-        body = rpc("work")
-        if body is PROMOTE:
-            return promote()
-        if body is None:
-            return "orphaned"
-        kind, data = body
-        if kind == "wait":
-            ctx.engine.sleep(data)
-        elif kind == "done":
-            return "done"
-        elif kind == "frag":
-            fid = data
-            metas = _ft_search_fragment(
-                ctx, cfg, engine, writer, queries, info, indexes,
-                frags[fid], fid, blocks,
-            )
-            my_metas[fid] = metas
-            body = rpc("result", (fid, metas))
-            if body is PROMOTE:
-                return promote()
-            if body is None:
-                return "orphaned"
-        elif kind == "select":
-            round_no, sels = data
-            with ctx.phase("output"):
-                f = MPIFile(comm, ctx.fs, cfg.output_path)
-                for fid, lid, off in sels:
-                    blk = blocks[fid][lid]
-                    f.write_at_reliable(
-                        off, blk,
-                        charge_bytes=cost.wire_bytes(len(blk)),
-                        attempts=ft.io_attempts, report=report,
-                    )
-            fids = tuple(sorted({fid for fid, _lid, _off in sels}))
-            body = rpc("wrote", (round_no, fids))
-            if body is PROMOTE:
-                return promote()
-            if body is None:
-                return "orphaned"
-        else:  # pragma: no cover - protocol error
-            raise RuntimeError(f"unknown FT reply kind {kind!r}")
+    except Promoted:
+        pass
+    # Become the master: restore + serve (see _ft_master).
+    _ft_master(ctx, cfg, setup=setup, held_blocks=blocks, held_metas=my_metas)
+    return "promoted-master"
 
 
 def _program(ctx: ProcContext) -> Any:

@@ -273,7 +273,9 @@ def _tracker_run(body):
 
     def program(ctx):
         if ctx.rank == 4:
-            out["v"] = body(FailoverTracker(ctx, FTParams()), ctx)
+            out["v"] = body(
+                FailoverTracker(ctx, FTParams(), range(5)), ctx
+            )
         return None
 
     res = run(5, program)
@@ -522,6 +524,64 @@ class TestMasterKillMpiblast:
         kinds = {e[1] for e in runs[0][3][0]}
         assert "recover:promote-master" in kinds
         assert "recover:restore-checkpoint" in kinds
+
+
+# ----------------------------------------------------------------------
+# Succession past the last candidate
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("program", ["pioblast", "mpiblast"])
+def test_succession_past_last_rank_promotes_the_walker(program):
+    """Rank 1 straggles, is succeeded by rank 2 and adopts it; when
+    ranks 2 and 3 die, rank 1's silence walk passes the last rank.  It
+    used to address rank 4 of a 4-rank run and abort the whole run
+    (``SimError: dest rank 4 out of range``); now the walker itself is
+    the next candidate, promotes, and finishes with an accounted
+    report."""
+    from repro.experiments.common import (
+        ExperimentWorkload,
+        build_workload,
+        run_program_raw,
+    )
+    from repro.parallel import run_serial_reference
+    from repro.parallel.common import parse_index
+    from repro.workloads import SynthSpec
+
+    wl = ExperimentWorkload(
+        db_spec=SynthSpec(num_sequences=90, mean_length=140),
+        query_bytes=1800,
+    )
+    plan = FaultPlan.parse(
+        "seed=1,straggler=1x0.002@10,kill=0@30,kill=2@4300,kill=3@4300"
+    )
+    _b, res, store, cfg = run_program_raw(program, 4, wl, faults=plan)
+    assert res.promotions[-1] == 1
+    report = store.read(cfg.output_path)
+    oracle = run_serial_reference(store, cfg, output_path="ref.out")
+    rep = res.fault_report
+    if report == oracle:
+        return
+    assert rep.degraded
+    # Every fragment holding an oracle hit the report lacks is listed.
+    db, _queries = build_workload(wl)
+    ordinal = {rec.defline: i for i, rec in enumerate(db)}
+    index = parse_index(store.read(f"{cfg.db_name}.xin"))
+    ranges = index.partition_ranges(cfg.fragments_for(3))
+
+    def hits(text: bytes) -> set[int]:
+        return {
+            ordinal[line[1:].decode().strip()]
+            for line in text.splitlines()
+            if line.startswith(b">")
+        }
+
+    absent = {
+        fid
+        for ordn in hits(oracle) - hits(report)
+        for fid, (lo, hi) in enumerate(ranges)
+        if lo <= ordn < hi
+    }
+    assert absent
+    assert absent <= set(rep.missing_fragments)
 
 
 # ----------------------------------------------------------------------
