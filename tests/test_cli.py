@@ -158,3 +158,51 @@ class TestSimulateObservability:
         m = json.loads(metrics.read_text())
         assert m["counters"]["msgs_sent"] > 0
         assert "critical_path" not in m
+
+
+SMALL = ["--db-sequences", "60", "--mean-length", "100",
+         "--query-bytes", "1000"]
+RUN_COMMANDS = {
+    "simulate": ["simulate", "pioblast", "--nprocs", "4"],
+    "service": ["service", "--nprocs", "4"],
+    "hier": ["hier", "--nprocs", "7", "--groups", "2"],
+    "hier-service": ["hier-service", "--nprocs", "7", "--groups", "2"],
+}
+ORACLE_LINES = {
+    "service": "oracle: service report is byte-identical to the serial "
+               "reference",
+    "hier": "oracle: hierarchical report is byte-identical to the serial "
+            "reference",
+    "hier-service": "oracle: service report is byte-identical to the "
+                    "serial reference",
+}
+
+
+class TestRunCommandExitCodes:
+    """Exit codes shared by the simulate-style commands: 2 for bad
+    input (checked before the run), 1 for an oracle mismatch, 3 for a
+    blown host budget."""
+
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    def test_bad_faults_spec_exits_2(self, command, capsys):
+        rc = main(RUN_COMMANDS[command] + SMALL + ["--faults", "kill=x@y"])
+        assert rc == 2
+        assert "bad --faults spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    def test_missing_metrics_dir_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "absent" / "metrics.json"
+        rc = main(RUN_COMMANDS[command] + SMALL
+                  + ["--metrics-json", str(path)])
+        assert rc == 2
+        assert "bad --metrics-json path" in capsys.readouterr().err
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("command", sorted(ORACLE_LINES))
+    def test_verify_oracle_then_host_budget_exits_3(self, command, capsys):
+        rc = main(RUN_COMMANDS[command] + SMALL
+                  + ["--verify-oracle", "--host-budget", "0"])
+        captured = capsys.readouterr()
+        assert ORACLE_LINES[command] in captured.out
+        assert "host budget exceeded" in captured.err
+        assert rc == 3
