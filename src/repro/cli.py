@@ -101,12 +101,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.experiments.common import (
-        ExperimentWorkload,
-        run_program_raw,
-    )
-    from repro.parallel import fault_summary
+class _BadInput(Exception):
+    """Invalid command input, reported on stderr with exit code 2."""
+
+
+def _prepare(args: argparse.Namespace):
+    """Steps every run command takes before its run: parse ``--faults``,
+    check the output paths, then build the tracer, the workload and the
+    platform.  Raises :class:`_BadInput` on bad input."""
+    from repro.experiments.common import ExperimentWorkload
     from repro.platforms import PLATFORMS
     from repro.simmpi import FaultPlan
     from repro.workloads import SynthSpec
@@ -116,8 +119,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         try:
             faults = FaultPlan.parse(args.faults)
         except ValueError as e:
-            print(f"bad --faults spec: {e}", file=sys.stderr)
-            return 2
+            raise _BadInput(f"bad --faults spec: {e}") from None
     # Fail fast on unwritable output paths: the simulation itself can
     # take minutes, so a typo'd directory must not cost a full run.
     for opt, path in (("--trace", args.trace),
@@ -126,9 +128,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             continue
         parent = pathlib.Path(path).resolve().parent
         if not parent.is_dir():
-            print(f"bad {opt} path: directory does not exist: {parent}",
-                  file=sys.stderr)
-            return 2
+            raise _BadInput(
+                f"bad {opt} path: directory does not exist: {parent}"
+            )
     tracer = None
     if args.trace is not None:
         from repro.obs import Tracer
@@ -140,7 +142,84 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ),
         query_bytes=args.query_bytes,
     )
-    platform = PLATFORMS[args.platform]
+    return faults, tracer, wl, PLATFORMS[args.platform]
+
+
+def _finish(args: argparse.Namespace, result, store, cfg, faults, tracer,
+            *, program: str, report: bytes | None = None,
+            subject: str = "", degraded: bool = False,
+            trace_note: str = "", host_s: float = 0.0) -> int:
+    """Steps every run command takes after its run: report size, fault
+    summary, ``--verify-oracle`` (exit 1 on a mismatch unless
+    ``degraded``), trace, metrics and ``--host-budget`` (exit 3)."""
+    print(f"  report: {store.size(cfg.output_path):,} bytes at "
+          f"'{cfg.output_path}' (virtual filesystem)")
+    if faults is not None:
+        from repro.parallel import fault_summary
+
+        print(fault_summary(result) or
+              "faults: none injected, none detected")
+        if result.promotions:
+            print(f"  master promotions: {list(result.promotions)}")
+    if getattr(args, "verify_oracle", False):
+        from repro.parallel import run_serial_reference
+
+        oracle = run_serial_reference(store, cfg, output_path="_oracle.out")
+        if report == oracle:
+            print(f"  oracle: {subject} is byte-identical to the serial "
+                  "reference")
+        elif degraded:
+            print("  oracle: report degraded (expected: fragments lost "
+                  "or queries shed)")
+        else:
+            print("  oracle: MISMATCH against the serial reference",
+                  file=sys.stderr)
+            return 1
+    if tracer is not None:
+        from repro.obs import write_chrome_trace
+
+        write_chrome_trace(args.trace, result.events, result.nprocs)
+        print(f"  trace: {len(result.events)} events -> {args.trace}"
+              f"{trace_note}")
+    if args.metrics_json is not None:
+        from repro.obs import write_run_metrics
+
+        write_run_metrics(args.metrics_json, result, program=program)
+        print(f"  metrics: -> {args.metrics_json}")
+    budget = getattr(args, "host_budget", None)
+    if budget is not None and host_s > budget:
+        print(f"host budget exceeded: {host_s:.1f} s > {budget:.1f} s",
+              file=sys.stderr)
+        return 3
+    return 0
+
+
+def _service_config(args: argparse.Namespace, **extra):
+    from repro.service import ServiceConfig
+
+    return ServiceConfig(
+        max_wave=args.max_wave,
+        admission_delay=args.admission_delay,
+        priority=not args.no_priority,
+        interactive_max_len=args.interactive_max_len,
+        **extra,
+    )
+
+
+def _print_latency(lat: dict) -> None:
+    rows = [("all", lat["all"])] + sorted(lat["lanes"].items())
+    print(f"  {'lane':<12} {'n':>5} {'p50':>9} {'p95':>9} {'p99':>9} "
+          f"{'mean':>9} {'max':>9}")
+    for name, s in rows:
+        print(f"  {name:<12} {s['count']:>5} {s['p50_s']:>9.3f} "
+              f"{s['p95_s']:>9.3f} {s['p99_s']:>9.3f} "
+              f"{s['mean_s']:>9.3f} {s['max_s']:>9.3f}")
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.experiments.common import run_program_raw
+
+    faults, tracer, wl, platform = _prepare(args)
     overrides = {}
     if args.checkpoint_interval > 0:
         overrides["checkpoint_interval"] = args.checkpoint_interval
@@ -162,78 +241,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"  total      {b.total:10.2f} s   "
         f"(search share {100 * b.search_share:.1f}%)"
     )
-    print(f"  report: {store.size(cfg.output_path):,} bytes at "
-          f"'{cfg.output_path}' (virtual filesystem)")
-    if faults is not None:
-        print(fault_summary(result) or
-              "faults: none injected, none detected")
-        if result.promotions:
-            print(f"  master promotions: {list(result.promotions)}")
+    note = " (load in chrome://tracing or ui.perfetto.dev)"
     if tracer is not None:
-        from repro.obs import write_chrome_trace
         from repro.parallel import bottleneck_table
 
-        write_chrome_trace(args.trace, result.events, result.nprocs)
-        print(f"  trace: {len(result.events)} events -> {args.trace} "
-              "(load in chrome://tracing or ui.perfetto.dev)")
-        print(bottleneck_table(result))
-    if args.metrics_json is not None:
-        from repro.obs import write_run_metrics
-
-        write_run_metrics(args.metrics_json, result, program=args.program)
-        print(f"  metrics: -> {args.metrics_json}")
-    return 0
+        note += "\n" + bottleneck_table(result)
+    return _finish(args, result, store, cfg, faults, tracer,
+                   program=args.program, trace_note=note)
 
 
 def _cmd_service(args: argparse.Namespace) -> int:
     import time
 
-    from repro.experiments.common import (
-        ExperimentWorkload,
-        run_service_raw,
-    )
-    from repro.platforms import PLATFORMS
-    from repro.service import ServiceConfig
-    from repro.simmpi import FaultPlan
-    from repro.workloads import SynthSpec
+    from repro.experiments.common import run_service_raw
 
-    faults = None
-    if args.faults is not None:
-        try:
-            faults = FaultPlan.parse(args.faults)
-        except ValueError as e:
-            print(f"bad --faults spec: {e}", file=sys.stderr)
-            return 2
-    for opt, path in (("--trace", args.trace),
-                      ("--metrics-json", args.metrics_json)):
-        if path is None:
-            continue
-        parent = pathlib.Path(path).resolve().parent
-        if not parent.is_dir():
-            print(f"bad {opt} path: directory does not exist: {parent}",
-                  file=sys.stderr)
-            return 2
+    faults, tracer, wl, platform = _prepare(args)
     trace_text = None
     if args.arrivals is not None:
         trace_text = pathlib.Path(args.arrivals).read_text()
-    tracer = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    wl = ExperimentWorkload(
-        db_spec=SynthSpec(
-            num_sequences=args.db_sequences, mean_length=args.mean_length,
-        ),
-        query_bytes=args.query_bytes,
-    )
-    scfg = ServiceConfig(
-        max_wave=args.max_wave,
-        admission_delay=args.admission_delay,
-        priority=not args.no_priority,
-        interactive_max_len=args.interactive_max_len,
-    )
-    platform = PLATFORMS[args.platform]
+    scfg = _service_config(args)
     t0 = time.perf_counter()
     sres, store, cfg = run_service_raw(
         args.nprocs, wl, platform,
@@ -241,7 +267,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
         service=scfg, faults=faults, tracer=tracer,
     )
     host_s = time.perf_counter() - t0
-    result = sres.result
     lat = sres.latency
     print(
         f"service on {platform.name}, {args.nprocs} processes "
@@ -249,90 +274,21 @@ def _cmd_service(args: argparse.Namespace) -> int:
         f"{'trace' if trace_text is not None else f'poisson rate={args.rate}/s'}"
         f", priority={'on' if scfg.priority else 'off'})"
     )
-    rows = [("all", lat["all"])] + sorted(lat["lanes"].items())
-    print(f"  {'lane':<12} {'n':>5} {'p50':>9} {'p95':>9} {'p99':>9} "
-          f"{'mean':>9} {'max':>9}")
-    for name, s in rows:
-        print(f"  {name:<12} {s['count']:>5} {s['p50_s']:>9.3f} "
-              f"{s['p95_s']:>9.3f} {s['p99_s']:>9.3f} "
-              f"{s['mean_s']:>9.3f} {s['max_s']:>9.3f}")
+    _print_latency(lat)
     print(f"  span {lat['span_s']:.2f} s, throughput "
           f"{lat['throughput_qps']:.3f} q/s, makespan "
-          f"{result.makespan:.2f} s (host {host_s:.1f} s)")
-    print(f"  report: {store.size(cfg.output_path):,} bytes at "
-          f"'{cfg.output_path}' (virtual filesystem)")
-    if faults is not None:
-        from repro.parallel import fault_summary
-
-        print(fault_summary(result) or
-              "faults: none injected, none detected")
-    if args.verify_oracle:
-        from repro.parallel import run_serial_reference
-
-        oracle = run_serial_reference(store, cfg, output_path="_oracle.out")
-        if sres.report == oracle:
-            print("  oracle: service report is byte-identical to the "
-                  "serial reference")
-        else:
-            print("  oracle: MISMATCH against the serial reference",
-                  file=sys.stderr)
-            return 1
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(args.trace, result.events, result.nprocs)
-        print(f"  trace: {len(result.events)} events -> {args.trace}")
-    if args.metrics_json is not None:
-        from repro.obs import write_run_metrics
-
-        write_run_metrics(args.metrics_json, result, program="service")
-        print(f"  metrics: -> {args.metrics_json}")
-    if args.host_budget is not None and host_s > args.host_budget:
-        print(f"host budget exceeded: {host_s:.1f} s > "
-              f"{args.host_budget:.1f} s", file=sys.stderr)
-        return 3
-    return 0
+          f"{sres.result.makespan:.2f} s (host {host_s:.1f} s)")
+    return _finish(args, sres.result, store, cfg, faults, tracer,
+                   program="service", report=sres.report,
+                   subject="service report", host_s=host_s)
 
 
 def _cmd_hier(args: argparse.Namespace) -> int:
     import time
 
-    from repro.experiments.common import (
-        ExperimentWorkload,
-        run_hier_raw,
-    )
-    from repro.platforms import PLATFORMS
-    from repro.simmpi import FaultPlan
-    from repro.workloads import SynthSpec
+    from repro.experiments.common import run_hier_raw
 
-    faults = None
-    if args.faults is not None:
-        try:
-            faults = FaultPlan.parse(args.faults)
-        except ValueError as e:
-            print(f"bad --faults spec: {e}", file=sys.stderr)
-            return 2
-    for opt, path in (("--trace", args.trace),
-                      ("--metrics-json", args.metrics_json)):
-        if path is None:
-            continue
-        parent = pathlib.Path(path).resolve().parent
-        if not parent.is_dir():
-            print(f"bad {opt} path: directory does not exist: {parent}",
-                  file=sys.stderr)
-            return 2
-    tracer = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    wl = ExperimentWorkload(
-        db_spec=SynthSpec(
-            num_sequences=args.db_sequences, mean_length=args.mean_length,
-        ),
-        query_bytes=args.query_bytes,
-    )
-    platform = PLATFORMS[args.platform]
+    faults, tracer, wl, platform = _prepare(args)
     mode = "shard" if args.shard else "replicate"
     t0 = time.perf_counter()
     try:
@@ -343,8 +299,7 @@ def _cmd_hier(args: argparse.Namespace) -> int:
             faults=faults, tracer=tracer,
         )
     except ValueError as e:
-        print(f"bad topology: {e}", file=sys.stderr)
-        return 2
+        raise _BadInput(f"bad topology: {e}") from None
     host_s = time.perf_counter() - t0
     result = hres.result
     topo = hres.topology
@@ -369,62 +324,18 @@ def _cmd_hier(args: argparse.Namespace) -> int:
     print(f"  group coordinator-wait max {worst:8.2f} s "
           f"({100 * worst / makespan:.1f}% of makespan; per group "
           f"{['%.1f' % waits[g] for g in sorted(waits)]})")
-    print(f"  report: {store.size(cfg.output_path):,} bytes at "
-          f"'{cfg.output_path}' (virtual filesystem)")
-    if faults is not None:
-        from repro.parallel import fault_summary
-
-        print(fault_summary(result) or
-              "faults: none injected, none detected")
-    if args.verify_oracle:
-        from repro.parallel import run_serial_reference
-
-        oracle = run_serial_reference(store, cfg, output_path="_oracle.out")
-        if hres.report == oracle:
-            print("  oracle: hierarchical report is byte-identical to "
-                  "the serial reference")
-        else:
-            print("  oracle: MISMATCH against the serial reference",
-                  file=sys.stderr)
-            return 1
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(args.trace, result.events, result.nprocs)
-        print(f"  trace: {len(result.events)} events -> {args.trace} "
-              "(EV_GROUP spans show per-batch group activity)")
-    if args.metrics_json is not None:
-        from repro.obs import write_run_metrics
-
-        write_run_metrics(args.metrics_json, result, program="hier")
-        print(f"  metrics: -> {args.metrics_json}")
-    if args.host_budget is not None and host_s > args.host_budget:
-        print(f"host budget exceeded: {host_s:.1f} s > "
-              f"{args.host_budget:.1f} s", file=sys.stderr)
-        return 3
-    return 0
+    return _finish(args, result, store, cfg, faults, tracer,
+                   program="hier", report=hres.report,
+                   subject="hierarchical report", host_s=host_s,
+                   trace_note=" (EV_GROUP spans show per-batch group "
+                   "activity)")
 
 
 def _cmd_hier_service(args: argparse.Namespace) -> int:
     import time
 
-    from repro.experiments.common import (
-        ExperimentWorkload,
-        run_hier_service_raw,
-    )
+    from repro.experiments.common import run_hier_service_raw
     from repro.hier import ElasticConfig
-    from repro.platforms import PLATFORMS
-    from repro.service import ServiceConfig
-    from repro.simmpi import FaultPlan
-    from repro.workloads import SynthSpec
-
-    faults = None
-    if args.faults is not None:
-        try:
-            faults = FaultPlan.parse(args.faults)
-        except ValueError as e:
-            print(f"bad --faults spec: {e}", file=sys.stderr)
-            return 2
 
     def parse_pairs(specs, what):
         out = []
@@ -433,51 +344,21 @@ def _cmd_hier_service(args: argparse.Namespace) -> int:
                 a, b = tok.split("@", 1)
                 out.append((int(a), float(b)))
             except ValueError:
-                raise ValueError(
+                raise _BadInput(
                     f"bad --{what} spec {tok!r} (expected N@TIME)"
                 ) from None
         return tuple(out)
 
-    try:
-        joins = parse_pairs(args.join, "join")
-        drains = parse_pairs(args.drain, "drain")
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    for opt, path in (("--trace", args.trace),
-                      ("--metrics-json", args.metrics_json)):
-        if path is None:
-            continue
-        parent = pathlib.Path(path).resolve().parent
-        if not parent.is_dir():
-            print(f"bad {opt} path: directory does not exist: {parent}",
-                  file=sys.stderr)
-            return 2
+    joins = parse_pairs(args.join, "join")
+    drains = parse_pairs(args.drain, "drain")
+    faults, tracer, wl, platform = _prepare(args)
     trace_text = None
     if args.arrivals is not None:
         trace_text = pathlib.Path(args.arrivals).read_text()
-    tracer = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    wl = ExperimentWorkload(
-        db_spec=SynthSpec(
-            num_sequences=args.db_sequences, mean_length=args.mean_length,
-        ),
-        query_bytes=args.query_bytes,
-    )
-    scfg = ServiceConfig(
-        max_wave=args.max_wave,
-        admission_delay=args.admission_delay,
-        priority=not args.no_priority,
-        interactive_max_len=args.interactive_max_len,
-        shed_threshold=args.shed_threshold,
-    )
+    scfg = _service_config(args, shed_threshold=args.shed_threshold)
     ecfg = ElasticConfig(joins=joins, drains=drains,
                          recovery_attempts=args.recovery_attempts,
                          redispatch_timeout=args.redispatch_timeout)
-    platform = PLATFORMS[args.platform]
     mode = "shard" if args.shard else "replicate"
     t0 = time.perf_counter()
     try:
@@ -488,10 +369,8 @@ def _cmd_hier_service(args: argparse.Namespace) -> int:
             service=scfg, elastic=ecfg, faults=faults, tracer=tracer,
         )
     except ValueError as e:
-        print(f"bad topology: {e}", file=sys.stderr)
-        return 2
+        raise _BadInput(f"bad topology: {e}") from None
     host_s = time.perf_counter() - t0
-    result = sres.result
     topo = sres.topology
     lat = sres.latency
     gsizes = [len(g.members) for g in topo.groups]
@@ -502,57 +381,21 @@ def _cmd_hier_service(args: argparse.Namespace) -> int:
         f"({lat['all']['count']} queries, {sres.waves} waves, "
         f"{sres.regroups} regroup events)"
     )
-    rows = [("all", lat["all"])] + sorted(lat["lanes"].items())
-    print(f"  {'lane':<12} {'n':>5} {'p50':>9} {'p95':>9} {'p99':>9} "
-          f"{'mean':>9} {'max':>9}")
-    for name, s in rows:
-        print(f"  {name:<12} {s['count']:>5} {s['p50_s']:>9.3f} "
-              f"{s['p95_s']:>9.3f} {s['p99_s']:>9.3f} "
-              f"{s['mean_s']:>9.3f} {s['max_s']:>9.3f}")
+    _print_latency(lat)
     print(f"  span {lat['span_s']:.2f} s, throughput "
           f"{lat['throughput_qps']:.3f} q/s, makespan "
-          f"{result.makespan:.2f} s (host {host_s:.1f} s)")
-    if sres.degraded_queries or sres.shed_queries:
+          f"{sres.result.makespan:.2f} s (host {host_s:.1f} s)")
+    degraded = bool(sres.degraded_queries or sres.shed_queries)
+    if degraded:
         print(f"  degraded {sres.degraded_queries} queries "
               f"(missing fragments), shed {sres.shed_queries} at "
               f"admission")
-    print(f"  report: {store.size(cfg.output_path):,} bytes at "
-          f"'{cfg.output_path}' (virtual filesystem)")
-    if faults is not None:
-        from repro.parallel import fault_summary
-
-        print(fault_summary(result) or
-              "faults: none injected, none detected")
-    if args.verify_oracle:
-        from repro.parallel import run_serial_reference
-
-        oracle = run_serial_reference(store, cfg, output_path="_oracle.out")
-        if sres.report == oracle:
-            print("  oracle: service report is byte-identical to the "
-                  "serial reference")
-        elif sres.degraded_queries or sres.shed_queries:
-            print("  oracle: report degraded (expected: fragments lost "
-                  "or queries shed)")
-        else:
-            print("  oracle: MISMATCH against the serial reference",
-                  file=sys.stderr)
-            return 1
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(args.trace, result.events, result.nprocs)
-        print(f"  trace: {len(result.events)} events -> {args.trace} "
-              "(EV_REGROUP spans show elastic membership events)")
-    if args.metrics_json is not None:
-        from repro.obs import write_run_metrics
-
-        write_run_metrics(args.metrics_json, result, program="hier-service")
-        print(f"  metrics: -> {args.metrics_json}")
-    if args.host_budget is not None and host_s > args.host_budget:
-        print(f"host budget exceeded: {host_s:.1f} s > "
-              f"{args.host_budget:.1f} s", file=sys.stderr)
-        return 3
-    return 0
+    return _finish(args, sres.result, store, cfg, faults, tracer,
+                   program="hier-service", report=sres.report,
+                   subject="service report", degraded=degraded,
+                   host_s=host_s,
+                   trace_note=" (EV_REGROUP spans show elastic membership "
+                   "events)")
 
 
 _EXPERIMENTS = {
@@ -627,20 +470,86 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default="-", help="report path or - for stdout")
     s.set_defaults(func=_cmd_search)
 
-    m = sub.add_parser("simulate", help="parallel run on a simulated cluster")
-    m.add_argument("program", choices=["mpiblast", "pioblast", "queryseg"])
-    m.add_argument("--nprocs", type=int, default=16)
-    m.add_argument("--platform", choices=["altix", "blade"], default="altix")
-    m.add_argument("--db-sequences", type=int, default=300)
-    m.add_argument("--mean-length", type=int, default=200)
-    m.add_argument("--query-bytes", type=int, default=6000)
-    m.add_argument(
+    # Options shared by the run commands (simulate, service, hier,
+    # hier-service).  Each adds its own --nprocs: parents share action
+    # objects, so a per-command default set on one would leak into all.
+    cluster = argparse.ArgumentParser(add_help=False)
+    cluster.add_argument("--platform", choices=["altix", "blade"],
+                         default="altix")
+    cluster.add_argument("--db-sequences", type=int, default=300)
+    cluster.add_argument("--mean-length", type=int, default=200)
+    cluster.add_argument("--query-bytes", type=int, default=6000)
+
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="fault-injection plan; ','-separated events, e.g. "
         "'seed=7,kill=2@0.05,slowdisk=4x1.0@0.2,ioerr=nr@0.1n2' "
-        "(see FAULTS.md for the full mini-language); switches "
-        "mpiblast/pioblast to their fault-tolerant drivers",
+        "(see FAULTS.md for the full mini-language).  mpiblast/pioblast "
+        "switch to their fault-tolerant drivers; hierarchical runs also "
+        "take role events 'crash=coordinator@T', 'crash=submaster:gN@T' "
+        "and 'crash=group:gN@T'",
     )
+    outputs.add_argument(
+        "--trace", default=None, metavar="FILE",
+        help="write a Chrome/Perfetto trace of the run to FILE "
+        "(see OBSERVABILITY.md)",
+    )
+    outputs.add_argument(
+        "--metrics-json", default=None, metavar="FILE",
+        help="write machine-readable run metrics (makespan, counters, "
+        "and the command's latency/hier sections) to FILE",
+    )
+
+    checks = argparse.ArgumentParser(add_help=False)
+    checks.add_argument("--verify-oracle", action="store_true",
+                        help="also run the serial reference and fail "
+                        "unless the report is byte-identical (degraded "
+                        "or shed hier-service runs are reported, not "
+                        "failed)")
+    checks.add_argument("--host-budget", type=float, default=None,
+                        metavar="SECONDS",
+                        help="exit 3 if the run needs more wall-clock "
+                        "than this (CI smoke guard)")
+
+    service = argparse.ArgumentParser(add_help=False)
+    service.add_argument("--rate", type=float, default=0.1,
+                         help="Poisson arrival rate in queries per "
+                         "virtual second (default 0.1)")
+    service.add_argument("--seed", type=int, default=0,
+                         help="arrival-stream seed (default 0)")
+    service.add_argument("--arrivals", default=None, metavar="FILE",
+                         help="replay an arrival trace file instead of a "
+                         "Poisson stream ('<arrival> <query-index> "
+                         "[lane]' per line)")
+    service.add_argument("--max-wave", type=int, default=8,
+                         help="admission batch size (default 8)")
+    service.add_argument("--admission-delay", type=float, default=20.0,
+                         help="max virtual seconds a queued query waits "
+                         "before a wave departs anyway (default 20)")
+    service.add_argument("--no-priority", action="store_true",
+                         help="disable the interactive priority lane "
+                         "(single FIFO admission)")
+    service.add_argument("--interactive-max-len", type=int, default=120,
+                         help="sequences up to this length ride the "
+                         "interactive lane (default 120)")
+
+    placement = argparse.ArgumentParser(add_help=False)
+    placement.add_argument("--groups", type=int, default=4,
+                           help="number of (initial) replication groups "
+                           "(default 4)")
+    where = placement.add_mutually_exclusive_group()
+    where.add_argument("--replicate", action="store_true",
+                       help="each group holds the whole database "
+                       "(default)")
+    where.add_argument("--shard", action="store_true",
+                       help="one global partition; each group owns a "
+                       "fragment slice")
+
+    m = sub.add_parser("simulate", parents=[cluster, outputs],
+                       help="parallel run on a simulated cluster")
+    m.add_argument("program", choices=["mpiblast", "pioblast", "queryseg"])
+    m.add_argument("--nprocs", type=int, default=16)
     m.add_argument(
         "--checkpoint-interval", type=float, default=0.0,
         metavar="SECONDS",
@@ -654,147 +563,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="virtual-filesystem directory for checkpoint snapshots "
         "(default: _ckpt)",
     )
-    m.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write a Chrome/Perfetto trace of the run to FILE and "
-        "print the event-derived bottleneck table "
-        "(see OBSERVABILITY.md)",
-    )
-    m.add_argument(
-        "--metrics-json", default=None, metavar="FILE",
-        help="write machine-readable run metrics (makespan, phase "
-        "maxima, counters, critical-path attribution) to FILE",
-    )
     m.set_defaults(func=_cmd_simulate)
 
     v = sub.add_parser(
-        "service",
+        "service", parents=[cluster, service, outputs, checks],
         help="online query service on a simulated cluster "
         "(streaming arrivals, admission batching, latency SLOs)",
     )
     v.add_argument("--nprocs", type=int, default=16)
-    v.add_argument("--platform", choices=["altix", "blade"], default="altix")
-    v.add_argument("--db-sequences", type=int, default=300)
-    v.add_argument("--mean-length", type=int, default=200)
-    v.add_argument("--query-bytes", type=int, default=6000)
-    v.add_argument("--rate", type=float, default=0.1,
-                   help="Poisson arrival rate in queries per virtual "
-                   "second (default 0.1)")
-    v.add_argument("--seed", type=int, default=0,
-                   help="arrival-stream seed (default 0)")
-    v.add_argument("--arrivals", default=None, metavar="FILE",
-                   help="replay an arrival trace file instead of a "
-                   "Poisson stream ('<arrival> <query-index> [lane]' "
-                   "per line)")
-    v.add_argument("--max-wave", type=int, default=8,
-                   help="admission batch size (default 8)")
-    v.add_argument("--admission-delay", type=float, default=20.0,
-                   help="max virtual seconds a queued query waits before "
-                   "a wave departs anyway (default 20)")
-    v.add_argument("--no-priority", action="store_true",
-                   help="disable the interactive priority lane (single "
-                   "FIFO admission)")
-    v.add_argument("--interactive-max-len", type=int, default=120,
-                   help="sequences up to this length ride the "
-                   "interactive lane (default 120)")
-    v.add_argument("--faults", default=None, metavar="SPEC",
-                   help="fault-injection plan (see FAULTS.md); the "
-                   "service adopts a dead worker's fragments and "
-                   "re-searches the in-flight wave")
-    v.add_argument("--verify-oracle", action="store_true",
-                   help="also run the serial reference and fail unless "
-                   "the service report is byte-identical")
-    v.add_argument("--trace", default=None, metavar="FILE",
-                   help="write a Chrome/Perfetto trace (EV_QUERY spans "
-                   "show per-query latency)")
-    v.add_argument("--metrics-json", default=None, metavar="FILE",
-                   help="write machine-readable run metrics including "
-                   "the service latency section")
-    v.add_argument("--host-budget", type=float, default=None,
-                   metavar="SECONDS",
-                   help="exit 3 if the run needs more wall-clock than "
-                   "this (CI smoke guard)")
     v.set_defaults(func=_cmd_service)
 
     h = sub.add_parser(
-        "hier",
+        "hier", parents=[cluster, placement, outputs, checks],
         help="two-level hierarchical run (replication groups under a "
         "coordinator) on a simulated cluster",
     )
     h.add_argument("--nprocs", type=int, default=64)
-    h.add_argument("--groups", type=int, default=4,
-                   help="number of replication groups (default 4)")
-    placement = h.add_mutually_exclusive_group()
-    placement.add_argument("--replicate", action="store_true",
-                           help="each group holds the whole database; "
-                           "query batches split across groups (default)")
-    placement.add_argument("--shard", action="store_true",
-                           help="one global partition; each group owns a "
-                           "fragment slice and searches every batch")
     h.add_argument("--batch-queries", type=int, default=0,
                    help="queries per coordinator batch (0 = ~2 batches "
                    "per group)")
-    h.add_argument("--platform", choices=["altix", "blade"], default="altix")
-    h.add_argument("--db-sequences", type=int, default=300)
-    h.add_argument("--mean-length", type=int, default=200)
-    h.add_argument("--query-bytes", type=int, default=6000)
-    h.add_argument("--faults", default=None, metavar="SPEC",
-                   help="fault-injection plan (see FAULTS.md); role "
-                   "events 'crash=coordinator@T' and "
-                   "'crash=submaster:gN@T' resolve against the topology")
-    h.add_argument("--verify-oracle", action="store_true",
-                   help="also run the serial reference and fail unless "
-                   "the report is byte-identical")
-    h.add_argument("--trace", default=None, metavar="FILE",
-                   help="write a Chrome/Perfetto trace (EV_GROUP spans "
-                   "show per-batch group activity)")
-    h.add_argument("--metrics-json", default=None, metavar="FILE",
-                   help="write machine-readable run metrics including "
-                   "the hier section (coordinator + per-group waits)")
-    h.add_argument("--host-budget", type=float, default=None,
-                   metavar="SECONDS",
-                   help="exit 3 if the run needs more wall-clock than "
-                   "this (CI smoke guard)")
     h.set_defaults(func=_cmd_hier)
 
     hs = sub.add_parser(
-        "hier-service",
+        "hier-service", parents=[cluster, placement, service, outputs, checks],
         help="online query service through elastic replication groups "
         "(group join/drain, group-loss recovery, degraded answers)",
     )
     hs.add_argument("--nprocs", type=int, default=32)
-    hs.add_argument("--groups", type=int, default=4,
-                    help="number of initial replication groups (default 4)")
-    placement2 = hs.add_mutually_exclusive_group()
-    placement2.add_argument("--replicate", action="store_true",
-                            help="each group holds the whole database "
-                            "(default)")
-    placement2.add_argument("--shard", action="store_true",
-                            help="one global partition; groups own "
-                            "fragment slices")
-    hs.add_argument("--platform", choices=["altix", "blade"],
-                    default="altix")
-    hs.add_argument("--db-sequences", type=int, default=300)
-    hs.add_argument("--mean-length", type=int, default=200)
-    hs.add_argument("--query-bytes", type=int, default=6000)
-    hs.add_argument("--rate", type=float, default=0.1,
-                    help="Poisson arrival rate in queries per virtual "
-                    "second (default 0.1)")
-    hs.add_argument("--seed", type=int, default=0,
-                    help="arrival-stream seed (default 0)")
-    hs.add_argument("--arrivals", default=None, metavar="FILE",
-                    help="replay an arrival trace file instead of a "
-                    "Poisson stream")
-    hs.add_argument("--max-wave", type=int, default=8,
-                    help="admission batch size (default 8)")
-    hs.add_argument("--admission-delay", type=float, default=20.0,
-                    help="max virtual seconds a queued query waits "
-                    "before a wave departs anyway (default 20)")
-    hs.add_argument("--no-priority", action="store_true",
-                    help="disable the interactive priority lane")
-    hs.add_argument("--interactive-max-len", type=int, default=120,
-                    help="sequences up to this length ride the "
-                    "interactive lane (default 120)")
     hs.add_argument("--shed-threshold", type=int, default=0,
                     help="shed arrivals once this many queries are "
                     "queued (0 disables; default 0)")
@@ -812,24 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "virtual-time silence instead of waiting out the "
                     "group-death budget (default: the death budget; "
                     "see FAULTS.md §5)")
-    hs.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault-injection plan (see FAULTS.md); role "
-                    "events 'crash=coordinator@T', 'crash=submaster:gN@T' "
-                    "and 'crash=group:gN@T' resolve against the topology")
-    hs.add_argument("--verify-oracle", action="store_true",
-                    help="also run the serial reference and fail unless "
-                    "the report is byte-identical (degraded/shed runs "
-                    "are reported, not failed)")
-    hs.add_argument("--trace", default=None, metavar="FILE",
-                    help="write a Chrome/Perfetto trace (EV_REGROUP "
-                    "spans show elastic membership events)")
-    hs.add_argument("--metrics-json", default=None, metavar="FILE",
-                    help="write machine-readable run metrics including "
-                    "the latency and hier sections")
-    hs.add_argument("--host-budget", type=float, default=None,
-                    metavar="SECONDS",
-                    help="exit 3 if the run needs more wall-clock than "
-                    "this (CI smoke guard)")
     hs.set_defaults(func=_cmd_hier_service)
 
     e = sub.add_parser("experiment", help="run a paper table/figure harness")
@@ -846,7 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as e:
+        print(e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover
