@@ -57,6 +57,22 @@ def footer_bytes_for(
     return writer.query_footer(space)
 
 
+def assemble_query_section(
+    writer: ReportWriter,
+    engine: BlastSearch,
+    query: SeqRecord,
+    selected: list[AlignmentMeta],
+    info: GlobalDbInfo,
+    blocks: dict[tuple[int, int], bytes],
+) -> bytes:
+    """One query's report section, ``header · blocks · footer``, from
+    already-rendered blocks keyed by ``(owner_rank, local_id)``."""
+    parts = [header_bytes_for(writer, query, selected)]
+    parts.extend(blocks[(m.owner_rank, m.local_id)] for m in selected)
+    parts.append(footer_bytes_for(writer, engine, query, info))
+    return b"".join(parts)
+
+
 def layout_query_section(
     writer: ReportWriter,
     engine: BlastSearch,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.blast.alphabet import PROTEIN, Alphabet
 from repro.blast.engine import SearchParams
@@ -133,6 +133,14 @@ class ParallelConfig:
 
     def fragments_for(self, nworkers: int) -> int:
         return self.num_fragments if self.num_fragments > 0 else nworkers
+
+    def with_cost_timeouts(self) -> "ParallelConfig":
+        """Untouched ``FTParams()`` stretched to the cost model
+        (:meth:`FTParams.for_cost`), so modelled compute and IO never
+        outrun a liveness deadline; explicit ``ft`` is kept."""
+        if self.ft != FTParams():
+            return self
+        return replace(self, ft=FTParams.for_cost(self.cost))
 
     def query_batches(self, nqueries: int) -> list[tuple[int, int]]:
         """[lo, hi) query-index ranges per processing round."""

@@ -51,6 +51,26 @@ class QueryJob:
         return 16 + len(self.record.defline) + len(self.record.sequence)
 
 
+def admission_order(jobs: list[QueryJob], config) -> tuple[QueryJob, ...]:
+    """Check a service's job stream and order it by (arrival, qid).
+
+    ``config`` is the run's ``ParallelConfig``: its ``query_batch`` is
+    a batch-driver setting a service must not be given.
+    """
+    if not jobs:
+        raise ValueError("the service needs at least one QueryJob")
+    qids = [j.qid for j in jobs]
+    if len(set(qids)) != len(qids):
+        raise ValueError("duplicate qid in the job stream")
+    if config.query_batch > 0:
+        raise ValueError(
+            "query_batch is a batch-driver setting; the service's "
+            "admission scheduler owns batching — set query_batch=0 "
+            "and size waves with ServiceConfig.max_wave"
+        )
+    return tuple(sorted(jobs, key=lambda j: (j.arrival, j.qid)))
+
+
 def poisson_arrivals(
     records: list[SeqRecord],
     *,
