@@ -60,7 +60,7 @@ from repro.simmpi.launcher import (
     RunResult,
     run,
 )
-from repro.simmpi.trace import PhaseRecorder, Timeline
+from repro.simmpi.trace import PhaseRecorder
 
 __all__ = [
     "Engine",
@@ -99,5 +99,4 @@ __all__ = [
     "RunResult",
     "run",
     "PhaseRecorder",
-    "Timeline",
 ]

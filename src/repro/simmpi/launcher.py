@@ -26,7 +26,7 @@ from repro.simmpi.filesystem import (
     ParallelFS,
 )
 from repro.simmpi.network import NetworkModel
-from repro.simmpi.trace import PhaseRecorder, Timeline
+from repro.simmpi.trace import PhaseRecorder
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,7 @@ class Cluster:
                 )
                 for r in range(nprocs)
             ]
-        self.timeline = Timeline()
-        self.phases = PhaseRecorder(self.engine, nprocs, self.timeline)
+        self.phases = PhaseRecorder(self.engine, nprocs)
         # A report always exists (drivers record detection/recovery into
         # it unconditionally); an ActiveFaults runtime only when a plan
         # was supplied.
@@ -199,7 +198,6 @@ class RunResult:
     phase_times: list[dict[str, float]]  # per rank
     rank_results: list[Any]
     store: FileStore
-    timeline: Timeline
     messages_sent: int
     bytes_sent: int
     fs_read_ops: int
@@ -279,7 +277,6 @@ def run(
         phase_times=[cluster.phases.rank_phases(r) for r in range(nprocs)],
         rank_results=[c.result for c in ctxs],
         store=cluster.shared_fs.store,
-        timeline=cluster.timeline,
         messages_sent=cluster.comm.messages_sent,
         bytes_sent=cluster.comm.bytes_sent,
         fs_read_ops=cluster.shared_fs.read_ops,

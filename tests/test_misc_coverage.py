@@ -1,4 +1,4 @@
-"""Coverage for smaller surfaces: ungapped mode, full_report, timeline,
+"""Coverage for smaller surfaces: ungapped mode, full_report, phase spans,
 package exports, run-config helpers."""
 
 import pytest
@@ -105,22 +105,29 @@ class TestFullReport:
 
 
 class TestTimelineFromDriver:
-    def test_driver_produces_spans(self, staged):
+    """A driver's phase spans, read from the tracer's ``EV_PHASE``
+    events."""
+
+    @staticmethod
+    def phase_spans(staged):
+        from repro.obs import EV_PHASE, Tracer
         from repro.parallel import run_pioblast
 
         store, cfg = staged
-        res = run_pioblast(3, store, cfg)
-        search_spans = res.timeline.for_phase("search")
+        tracer = Tracer()
+        res = run_pioblast(3, store, cfg, tracer=tracer)
+        return res, tracer.by_kind(EV_PHASE)
+
+    def test_driver_produces_spans(self, staged):
+        _res, spans = self.phase_spans(staged)
+        search_spans = [s for s in spans if s.name == "search"]
         assert len(search_spans) == 2  # one per worker
         for s in search_spans:
-            assert s.end >= s.start >= 0
+            assert s.t1 >= s.t0 >= 0
 
     def test_spans_within_makespan(self, staged):
-        from repro.parallel import run_pioblast
-
-        store, cfg = staged
-        res = run_pioblast(3, store, cfg)
-        assert all(s.end <= res.makespan + 1e-9 for s in res.timeline.spans)
+        res, spans = self.phase_spans(staged)
+        assert all(s.t1 <= res.makespan + 1e-9 for s in spans)
 
 
 class TestFormatDbConvenience:

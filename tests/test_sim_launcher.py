@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simmpi import PlatformSpec, run
-from repro.simmpi.trace import PhaseRecorder, Timeline
+from repro.simmpi.trace import PhaseRecorder
 
 
 class TestRun:
@@ -107,15 +107,18 @@ class TestPhases:
         assert res.phase_times[0]["work"] == pytest.approx(3.0)
 
     def test_timeline_spans(self):
+        from repro.obs import EV_PHASE, Tracer
+
         def prog(ctx):
             with ctx.phase("w"):
                 ctx.compute(1.0)
 
-        res = run(2, prog)
-        spans = res.timeline.for_phase("w")
+        tracer = Tracer()
+        run(2, prog, tracer=tracer)
+        spans = [e for e in tracer.by_kind(EV_PHASE) if e.name == "w"]
         assert len(spans) == 2
-        assert all(s.duration == pytest.approx(1.0) for s in spans)
-        assert len(res.timeline.for_rank(1)) == 1
+        assert all(s.t1 - s.t0 == pytest.approx(1.0) for s in spans)
+        assert len([s for s in tracer.by_kind(EV_PHASE) if s.rank == 1]) == 1
 
     def test_phase_total_helper(self):
         def prog(ctx):
