@@ -58,7 +58,8 @@ from repro.parallel.config import ParallelConfig
 from repro.parallel.fragments import fragment_paths
 from repro.parallel.results import AlignmentMeta, meta_from_alignment, select_metas
 from repro.parallel.supervise import (
-    Channel, Client, Liveness, Orphaned, Promoted, Server, announce,
+    Channel, Client, DoneMarker, Liveness, Orphaned, Promoted, Server,
+    announce, done_marker_path,
 )
 from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult, Status
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
@@ -361,12 +362,19 @@ def _ft_master(
         ctx, cfg.checkpoint_dir,
         interval=cfg.checkpoint_interval, io_attempts=ft.io_attempts,
     )
+    marker = DoneMarker(ctx, cfg)
     if promoted:
         report.record(sim.now, "recover:promote-master", me)
+        if marker.found(me):
+            # The run finished while we waited out silences: its output
+            # is complete and confirmed, so leave it untouched.
+            return
         # Announce before doing anything slow (cold setup, checkpoint
         # restore): the announcement resets every survivor's silence
         # clock, heading off a second spurious succession.
         announce(ctx, TAG_FT_PING, range(ctx.size))
+    else:
+        marker.clear()
 
     def rread(path: str, charge: int) -> bytes:
         return retry_io(
@@ -583,6 +591,7 @@ def _ft_master(
             live.heard(w)
         if ok:
             state = "done"
+            marker.write()
 
     def work_reply(w: int):
         if state == "done":
@@ -770,10 +779,13 @@ def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
     # The master's serialized output pass interleaves TAG_FETCH requests
     # with our polling, so the client answers fetches while it waits.
     client = Client(
-        ctx, ft, FT_CHANNEL, range(ctx.size), side=(TAG_FETCH, serve_fetch)
+        ctx, ft, FT_CHANNEL, range(ctx.size), side=(TAG_FETCH, serve_fetch),
+        done_marker=done_marker_path(cfg),
     )
     try:
-        setup = client.call("hello")[1]
+        kind, setup = client.call("hello")
+        if kind == "done":
+            return "done"
         queries, ranges, info = setup
         ctx.compute(cost.init_seconds())
         engine = BlastSearch(cfg.search)

@@ -67,7 +67,8 @@ from repro.parallel.fragments import VolumePiece
 from repro.parallel.pruning import prune_metas, score_cutlines
 from repro.parallel.results import AlignmentMeta, meta_from_alignment, select_metas
 from repro.parallel.supervise import (
-    Channel, Client, Liveness, Orphaned, Promoted, Server, announce,
+    Channel, Client, DoneMarker, Liveness, Orphaned, Promoted, Server,
+    announce, done_marker_path,
 )
 from repro.parallel.warmdb import (
     check_fingerprint,
@@ -461,12 +462,19 @@ def _ft_master(
         ctx, cfg.checkpoint_dir,
         interval=cfg.checkpoint_interval, io_attempts=ft.io_attempts,
     )
+    marker = DoneMarker(ctx, cfg)
     if promoted:
         report.record(sim.now, "recover:promote-master", me)
+        if marker.found(me):
+            # The run finished while we waited out silences: its output
+            # is complete and confirmed, so leave it untouched.
+            return
         # Announce before doing anything slow (cold setup, checkpoint
         # restore): the announcement resets every survivor's silence
         # clock, heading off a second spurious succession.
         announce(ctx, TAG_FT_PING, range(ctx.size))
+    else:
+        marker.clear()
     if setup is None:
         ctx.compute(cost.init_seconds())
         setup = _ft_setup(ctx, cfg)
@@ -698,6 +706,7 @@ def _ft_master(
             return ("select", (out_round, sels))
         if pending:
             return ("wait", ft.poll_backoff)
+        marker.write()
         return ("done", None)
 
     def handle(w: int, kind: str, data: Any):
@@ -773,6 +782,7 @@ def _ft_master(
                 # can write alone.
                 start_output_round(writable_now())
             if state == "output" and not pending and not research:
+                marker.write()
                 if done_since is None:
                     done_since = now
                 elif now - done_since > ft.linger:
@@ -822,12 +832,15 @@ def _ft_search_fragment(
 def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
     comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
     report = ctx.fault_report
-    client = Client(ctx, ft, FT_CHANNEL, range(ctx.size))
+    client = Client(ctx, ft, FT_CHANNEL, range(ctx.size),
+                    done_marker=done_marker_path(cfg))
     setup: Any = None
     blocks: dict[int, list[bytes]] = {}
     my_metas: dict[int, list[list[AlignmentMeta]]] = {}
     try:
-        setup = client.call("hello")[1]
+        kind, setup = client.call("hello")
+        if kind == "done":
+            return "done"
         queries, info, frags, index_bytes = setup
         ctx.compute(cost.init_seconds())
         indexes = {

@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.simmpi import ProcContext, Status
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
+from repro.simmpi.faults import retry_io
 
 
 class Channel(NamedTuple):
@@ -106,6 +107,58 @@ class FailoverTracker:
         self.guessing = True
         self.last_heard = now
         return True
+
+
+def done_marker_path(cfg: Any) -> str:
+    """Where a run's :class:`DoneMarker` lives (``cfg`` is its
+    ``ParallelConfig``)."""
+    return f"{cfg.checkpoint_dir}/hier.done"
+
+
+class DoneMarker:
+    """A run's completion tombstone on the shared filesystem.
+
+    The serving master writes it once the output is complete
+    (:meth:`write`).  Ranks that promote long after the run finished
+    (their silence windows outlasted everyone else's exit) check it
+    (:meth:`found`) before walking a succession of ranks that can never
+    answer, and before a cold restart could clear a complete, confirmed
+    output file; a :class:`Client` given its path returns ``("done",
+    None)`` once it appears.  The first master clears a stale one left
+    by an earlier run over the same store (:meth:`clear`).
+    """
+
+    def __init__(self, ctx: ProcContext, cfg: Any) -> None:
+        self.ctx = ctx
+        self.path = done_marker_path(cfg)
+        self.io_attempts = cfg.ft.io_attempts
+        self.written = False
+
+    def clear(self) -> None:
+        self.ctx.fs.delete(self.path)
+
+    def found(self, *who: Any) -> bool:
+        """True when the marker exists; records ``recover:done-marker``
+        with ``who``."""
+        if not self.ctx.fs.exists(self.path):
+            return False
+        self.ctx.fault_report.record(
+            self.ctx.engine.now, "recover:done-marker", *who
+        )
+        return True
+
+    def write(self) -> None:
+        """Write the marker (the first call only)."""
+        if self.written:
+            return
+        self.written = True
+        ctx = self.ctx
+        retry_io(
+            ctx.engine,
+            lambda: ctx.fs.write(self.path, 0, b"done", charge_bytes=0),
+            attempts=self.io_attempts, report=ctx.fault_report,
+            what=f"write:{self.path}",
+        )
 
 
 _RESEND = object()

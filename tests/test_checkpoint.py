@@ -13,9 +13,10 @@ Covers the killable-master acceptance criteria (see FAULTS.md §4):
 
 Timing constants in the end-to-end tests are tuned to the small
 workload: searches finish ~0.04 virtual seconds in, the output pass
-runs to ~0.2, and the master lingers 1.0 afterwards.  A kill inside
-(0.0, 0.2) therefore exercises real recovery; the checkpoint intervals
-are chosen so at least one snapshot lands before the kill.
+runs to ~0.14 (pioBLAST) or ~0.2, the master then writes its completion
+marker and lingers 1.0 afterwards.  A kill before the marker therefore
+exercises real recovery; the checkpoint intervals are chosen so at
+least one snapshot lands before the kill.
 """
 
 from __future__ import annotations
@@ -419,12 +420,14 @@ class TestMasterKillPioblast:
     ):
         """Snapshots land at ~0.041 and ~0.129 with this interval; the
         corruption window opens between them, so the newest replica is
-        damaged and the successor must fall back past it."""
+        damaged and the successor must fall back past it.  The master
+        dies before its output is complete (~0.141), so a successor has
+        work to finish."""
         store, cfg = staged
         plan = FaultPlan(
             seed=3,
             events=(
-                CrashFault(rank=0, time=0.19),
+                CrashFault(rank=0, time=0.135),
                 fault_cls(path_prefix="_ckpt/", start=0.1, count=1),
             ),
         )
@@ -446,7 +449,7 @@ class TestMasterKillPioblast:
         plan = FaultPlan(
             seed=3,
             events=(
-                CrashFault(rank=0, time=0.19),
+                CrashFault(rank=0, time=0.135),
                 TornWriteFault(path_prefix="_ckpt/", start=0.0, count=100),
             ),
         )
@@ -582,6 +585,38 @@ def test_succession_past_last_rank_promotes_the_walker(program):
     }
     assert absent
     assert absent <= set(rep.missing_fragments)
+
+
+# ----------------------------------------------------------------------
+# A late straggler finds the completion marker
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("program,req,reply", [
+    ("pioblast", 40, 41), ("mpiblast", 16, 17),
+])
+def test_late_straggler_finds_the_done_marker(program, req, reply):
+    """Dropped control messages leave rank 1 waiting on a reply after
+    the master finished and exited.  It used to walk the succession,
+    promote itself, declare every worker dead and rewrite the finished
+    report as a degraded one (``MISSING FRAGMENTS [0, 1, 2, 3]``); the
+    master's completion marker now tells it the run is done."""
+    from repro.experiments.common import ExperimentWorkload, run_program_raw
+    from repro.parallel import run_serial_reference
+    from repro.workloads import SynthSpec
+
+    wl = ExperimentWorkload(
+        db_spec=SynthSpec(num_sequences=90, mean_length=140),
+        query_bytes=1800,
+    )
+    plan = FaultPlan.parse(
+        f"seed=1,drop=*>0:{req}n3,drop=0>*:{reply}n2"
+    )
+    _b, res, store, cfg = run_program_raw(program, 5, wl, faults=plan)
+    oracle = run_serial_reference(store, cfg, output_path="ref.out")
+    assert store.read(cfg.output_path) == oracle
+    rep = res.fault_report
+    assert res.promotions == ()
+    assert not rep.degraded and not rep.missing_fragments
+    assert rep.count("inject:drop") == 5
 
 
 # ----------------------------------------------------------------------
