@@ -43,7 +43,7 @@ import os
 import threading
 import traceback
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.obs.events import EV_KILL, EV_WAIT, SCHEDULER_RANK
 
@@ -717,11 +717,3 @@ def _on_one_cpu():
     finally:
         if pinned:
             os.sched_setaffinity(0, allowed)
-
-
-def run_simulation(programs: Iterable[Callable[[], None]]) -> float:
-    """Convenience: run one closure per rank to completion."""
-    eng = Engine()
-    for i, fn in enumerate(programs):
-        eng.spawn(fn, i)
-    return eng.run()
